@@ -34,6 +34,7 @@
 #include "data/datasets.h"
 #include "data/query_log.h"
 #include "fault/failpoint.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "router/router.h"
 #include "serve/rebuild_scheduler.h"
@@ -126,7 +127,9 @@ TrialOutcome RunKillTrial(const std::string& dir, int trial,
       if (!(*log)->Commit(TreeForRound(v), v).ok()) _exit(3);
       // The ack marker is written only after the commit returned OK: the
       // recovered log may never be behind it.
-      if (!WriteFile(progress_path, std::to_string(v)).ok()) _exit(5);
+      if (!obs::WriteStringToFile(progress_path, std::to_string(v)).ok()) {
+        _exit(5);
+      }
     }
     _exit(0);
   }

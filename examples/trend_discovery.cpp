@@ -1,17 +1,28 @@
 // Trend discovery (the "Kobe memorabilia" scenario of Section 5.4): a
 // short-lived demand spike only surfaces as a candidate category when the
-// preprocessing window is skewed to recent days. The example also persists
-// the regenerated tree with the serialization API.
+// preprocessing window is skewed to recent days. The example also commits
+// the regenerated tree to a version log and reloads it.
 //
 //   $ ./build/examples/trend_discovery
 
 #include <cstdio>
+#include <filesystem>
 #include <unordered_set>
 
 #include "core/scoring.h"
 #include "core/serialization.h"
 #include "ctcr/ctcr.h"
 #include "data/datasets.h"
+#include "store/version_log.h"
+
+namespace {
+
+int Fail(const char* what, const oct::Status& status) {
+  std::fprintf(stderr, "failed to %s: %s\n", what, status.ToString().c_str());
+  return 1;
+}
+
+}  // namespace
 
 int main() {
   using namespace oct;
@@ -49,7 +60,7 @@ int main() {
     std::printf("  (none at this scale — rerun with OCT_BENCH_SCALE=0.2)\n");
   }
 
-  // Build the trend-aware tree and persist it.
+  // Build the trend-aware tree.
   const ctcr::CtcrResult run = ctcr::BuildCategoryTree(trendy.input, sim);
   const TreeScore score = ScoreTree(trendy.input, run.tree, sim);
   std::printf("\ntrend-aware tree: %zu categories, %zu/%zu sets covered, "
@@ -57,15 +68,24 @@ int main() {
               run.tree.NumCategories(), score.num_covered,
               trendy.input.num_sets(), score.normalized);
 
-  const std::string path = "/tmp/octree_trend_tree.txt";
-  const Status st = WriteFile(path, SerializeTree(run.tree));
-  if (!st.ok()) {
-    std::printf("failed to persist tree: %s\n", st.ToString().c_str());
+  // Persist it the way the serving stack does: commit it to a version log
+  // (the lineage taxonomists diff across regenerations), then reload it.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "octree_trend_log").string();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);  // Each run starts a fresh lineage.
+  auto log = store::VersionLog::Open(dir);
+  if (!log.ok()) return Fail("open version log", log.status());
+  const Status committed = (*log)->Commit(run.tree, 1, "trend-aware");
+  if (!committed.ok()) return Fail("commit tree", committed);
+  auto reloaded = (*log)->OpenLatest();
+  if (!reloaded.ok()) return Fail("reload tree", reloaded.status());
+  if (SerializeTree(*reloaded) != SerializeTree(run.tree)) {
+    std::fprintf(stderr, "reloaded tree differs from the committed one\n");
     return 1;
   }
-  auto reloaded = ReadFile(path);
-  auto parsed = ParseTree(*reloaded);
-  std::printf("tree persisted to %s and reloaded (%zu categories)\n",
-              path.c_str(), parsed->NumCategories());
+  std::printf("tree committed to version log %s and reloaded identically "
+              "(%zu categories)\n",
+              dir.c_str(), reloaded->NumCategories());
   return 0;
 }

@@ -211,85 +211,6 @@ std::string SerializeTree(const CategoryTree& tree) {
   return out.str();
 }
 
-Result<CategoryTree> ParseTree(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "octree-tree v1") {
-    return Status::InvalidArgument("missing octree-tree v1 header");
-  }
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing nodes line");
-  }
-  auto header = Tokens(line);
-  if (header.size() != 2 || header[0] != "nodes") {
-    return Status::InvalidArgument("bad nodes line");
-  }
-  auto count = ParseUint(header[1]);
-  if (!count.ok()) return count.status();
-  if (*count == 0) return Status::InvalidArgument("tree must have a root");
-
-  CategoryTree tree;
-  NodeId expected = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto toks = Tokens(line);
-    if (toks.size() < 6 || toks[0] != "node" || toks[5] != ":") {
-      return Status::InvalidArgument("bad node line: " + line);
-    }
-    auto id = ParseUint(toks[1]);
-    if (!id.ok()) return id.status();
-    if (*id != expected) {
-      return Status::InvalidArgument("node ids must be dense pre-order");
-    }
-    NodeId node;
-    if (*id == 0) {
-      if (toks[2] != "-") {
-        return Status::InvalidArgument("root must have no parent");
-      }
-      node = tree.root();
-      tree.mutable_node(node).label = UnescapeLabel(toks[4]);
-    } else {
-      if (toks[2] == "-") {
-        return Status::InvalidArgument("non-root node without parent");
-      }
-      auto parent = ParseUint(toks[2]);
-      if (!parent.ok()) return parent.status();
-      if (*parent >= *id) {
-        return Status::InvalidArgument("parent must precede child");
-      }
-      SetId source = kInvalidSet;
-      if (toks[3] != "-") {
-        auto s = ParseUint(toks[3]);
-        if (!s.ok()) return s.status();
-        source = static_cast<SetId>(*s);
-      }
-      node = tree.AddCategory(static_cast<NodeId>(*parent),
-                              UnescapeLabel(toks[4]), source);
-    }
-    std::vector<ItemId> items;
-    for (size_t i = 6; i < toks.size(); ++i) {
-      auto item = ParseUint(toks[i]);
-      if (!item.ok()) return item.status();
-      items.push_back(static_cast<ItemId>(*item));
-    }
-    tree.mutable_node(node).direct_items = ItemSet(std::move(items));
-    ++expected;
-  }
-  if (expected != *count) {
-    return Status::InvalidArgument("node count mismatch");
-  }
-  OCT_RETURN_NOT_OK(tree.ValidateStructure());
-  return tree;
-}
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::NotFound("cannot open for writing: " + path);
-  out << contents;
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::OK();
-}
-
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);

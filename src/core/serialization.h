@@ -1,9 +1,15 @@
-// Persistence for OCT inputs and category trees: a line-oriented text
-// format, versioned, with percent-escaped labels. Production deployments
-// regenerate trees every 90 days (Section 5.1); persisting inputs and trees
-// makes runs auditable and lets taxonomists diff revisions.
+// Line-oriented text renderings of OCT inputs and category trees, with
+// percent-escaped labels (shared with the version log's record formats).
 //
-// Format (one record per line, space-separated):
+//   - octree-input v1 is a persistence format: SerializeInput/ParseInput
+//     round-trip an OctInput exactly, so runs are auditable and replayable.
+//   - octree-tree v1 (SerializeTree) is the canonical rendering of a tree
+//     that equality checks compare. It is not a storage format and has no
+//     parser: trees reach disk only as store::VersionLog's nested-set
+//     records (store/version_log.h), which keep the lineage taxonomists
+//     diff across the ~90-day regenerations of Section 5.1.
+//
+// Formats (one record per line, space-separated):
 //   octree-input v1
 //   universe <size>
 //   bounds <b0> <b1> ...            (optional; omitted when all 1)
@@ -36,14 +42,13 @@ std::string SerializeInput(const OctInput& input);
 /// Parses an octree-input v1 document.
 Result<OctInput> ParseInput(const std::string& text);
 
-/// Renders `tree` (alive nodes only, ids compacted) in octree-tree v1.
+/// Renders `tree` (alive nodes only, ids compacted) in octree-tree v1. The
+/// rendering covers shape, child order, labels, source sets and direct
+/// items, so comparing two renderings compares the trees.
 std::string SerializeTree(const CategoryTree& tree);
 
-/// Parses an octree-tree v1 document.
-Result<CategoryTree> ParseTree(const std::string& text);
-
-/// Convenience file I/O.
-Status WriteFile(const std::string& path, const std::string& contents);
+/// Reads a whole file. (Writes go through obs::WriteStringToFile, which
+/// checks the final flush.)
 Result<std::string> ReadFile(const std::string& path);
 
 }  // namespace oct

@@ -38,10 +38,6 @@ ServeStats::ServeStats()
       batches_rejected_(registry_.GetCounter("serve.batches_rejected")),
       breaker_opened_(registry_.GetCounter("serve.breaker_opened")),
       breaker_closed_(registry_.GetCounter("serve.breaker_closed")),
-      snapshots_persisted_(registry_.GetCounter("serve.snapshots_persisted")),
-      snapshots_recovered_(registry_.GetCounter("serve.snapshots_recovered")),
-      snapshots_quarantined_(
-          registry_.GetCounter("serve.snapshots_quarantined")),
       rebuild_micros_(registry_.GetCounter("serve.rebuild_micros")),
       current_version_(registry_.GetGauge("serve.current_version")),
       breaker_state_(registry_.GetGauge("serve.breaker_state")),
@@ -75,9 +71,6 @@ ServeStatsSnapshot ServeStats::Snapshot() const {
   s.breaker_opened = breaker_opened_->Value();
   s.breaker_closed = breaker_closed_->Value();
   s.breaker_state = static_cast<uint64_t>(breaker_state_->Value());
-  s.snapshots_persisted = snapshots_persisted_->Value();
-  s.snapshots_recovered = snapshots_recovered_->Value();
-  s.snapshots_quarantined = snapshots_quarantined_->Value();
   s.rebuild_micros = rebuild_micros_->Value();
   s.current_version = static_cast<uint64_t>(current_version_->Value());
   return s;

@@ -39,11 +39,6 @@ struct ServeStatsSnapshot {
   uint64_t breaker_closed = 0;
   /// Breaker state gauge: 0 = closed, 1 = open, 2 = half-open.
   uint64_t breaker_state = 0;
-  /// Snapshots persisted / recovered from disk, and corrupt files
-  /// quarantined during recovery.
-  uint64_t snapshots_persisted = 0;
-  uint64_t snapshots_recovered = 0;
-  uint64_t snapshots_quarantined = 0;
   /// Total wall-clock spent in background rebuilds, microseconds.
   uint64_t rebuild_micros = 0;
   /// Version of the currently served snapshot (0 = none published yet).
@@ -94,9 +89,6 @@ class ServeStats {
     breaker_closed_->Increment();
     breaker_state_->Set(0);
   }
-  void RecordSnapshotPersisted() { snapshots_persisted_->Increment(); }
-  void RecordSnapshotRecovered() { snapshots_recovered_->Increment(); }
-  void RecordSnapshotQuarantined() { snapshots_quarantined_->Increment(); }
 
   ServeStatsSnapshot Snapshot() const;
 
@@ -121,9 +113,6 @@ class ServeStats {
   obs::Counter* batches_rejected_;
   obs::Counter* breaker_opened_;
   obs::Counter* breaker_closed_;
-  obs::Counter* snapshots_persisted_;
-  obs::Counter* snapshots_recovered_;
-  obs::Counter* snapshots_quarantined_;
   obs::Counter* rebuild_micros_;
   obs::Gauge* current_version_;
   obs::Gauge* breaker_state_;

@@ -1,117 +1,12 @@
 #include "serve/tree_store.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
 #include <utility>
 
-#include "core/serialization.h"
-#include "fault/failpoint.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/serve_stats.h"
-#include "util/crc32.h"
-#include "util/logging.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace oct {
 namespace serve {
-
-namespace {
-
-constexpr char kSnapshotMagic[] = "octree-snapshot v1";
-
-obs::Counter* PersistCounter(const char* name) {
-  return obs::MetricsRegistry::Default()->GetCounter(name);
-}
-
-/// Flushes `path`'s data (and, for directories, its entries) to stable
-/// storage. Best-effort on platforms without fsync.
-void SyncPath(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-#endif
-}
-
-/// Renders the checksummed snapshot file contents.
-std::string RenderSnapshotFile(const TreeSnapshot& snap) {
-  const std::string payload = SerializeTree(snap.tree());
-  char header[160];
-  std::snprintf(header, sizeof(header),
-                "%s\nversion %" PRIu64 "\nnote %s\npayload %zu %08x\n",
-                kSnapshotMagic, static_cast<uint64_t>(snap.version()),
-                EscapeLabel(snap.note()).c_str(), payload.size(),
-                Crc32(payload));
-  return std::string(header) + payload;
-}
-
-struct ParsedSnapshotFile {
-  TreeVersion version = 0;
-  std::string note;
-  CategoryTree tree;
-};
-
-/// Verifies and parses one snapshot file; any mismatch (truncation, bit
-/// rot, bad structure) is kDataLoss so callers can quarantine the file.
-Result<ParsedSnapshotFile> ParseSnapshotFile(const std::string& contents) {
-  size_t pos = 0;
-  auto next_line = [&](std::string* line) -> bool {
-    if (pos >= contents.size()) return false;
-    const size_t eol = contents.find('\n', pos);
-    if (eol == std::string::npos) return false;
-    line->assign(contents, pos, eol - pos);
-    pos = eol + 1;
-    return true;
-  };
-  std::string line;
-  if (!next_line(&line) || line != kSnapshotMagic) {
-    return Status::DataLoss("bad snapshot magic");
-  }
-  ParsedSnapshotFile parsed;
-  uint64_t version = 0;
-  if (!next_line(&line) ||
-      std::sscanf(line.c_str(), "version %" SCNu64, &version) != 1) {
-    return Status::DataLoss("bad snapshot version line");
-  }
-  parsed.version = version;
-  if (!next_line(&line) || line.rfind("note ", 0) != 0) {
-    return Status::DataLoss("bad snapshot note line");
-  }
-  parsed.note = UnescapeLabel(line.substr(5));
-  size_t payload_size = 0;
-  uint32_t expected_crc = 0;
-  if (!next_line(&line) || std::sscanf(line.c_str(), "payload %zu %x",
-                                       &payload_size, &expected_crc) != 2) {
-    return Status::DataLoss("bad snapshot payload header");
-  }
-  if (contents.size() - pos != payload_size) {
-    return Status::DataLoss("snapshot payload truncated or padded");
-  }
-  const std::string payload = contents.substr(pos);
-  if (Crc32(payload) != expected_crc) {
-    return Status::DataLoss("snapshot payload checksum mismatch");
-  }
-  auto tree = ParseTree(payload);
-  if (!tree.ok()) {
-    return Status::DataLoss("snapshot payload does not parse: " +
-                            tree.status().ToString());
-  }
-  parsed.tree = std::move(tree).value();
-  return parsed;
-}
-
-}  // namespace
 
 TreeStore::TreeStore(size_t retain) : retain_(std::max<size_t>(1, retain)) {}
 
@@ -208,115 +103,6 @@ Result<std::shared_ptr<const TreeSnapshot>> TreeStore::Rollback(
   }
   return Publish(std::move(tree),
                  "rollback to v" + std::to_string(version));
-}
-
-Status TreeStore::PersistSnapshot(const std::string& dir,
-                                  std::shared_ptr<const TreeSnapshot> snapshot,
-                                  ServeStats* stats) {
-  OCT_SPAN("serve/persist_snapshot");
-  OCT_RETURN_NOT_OK(OCT_FAILPOINT("serve.persist"));
-  if (snapshot == nullptr) snapshot = Current();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition("no snapshot to persist");
-  }
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create snapshot dir " + dir + ": " +
-                            ec.message());
-  }
-  const std::string name =
-      "snapshot-" + std::to_string(snapshot->version()) + ".oct";
-  const std::string final_path = (fs::path(dir) / name).string();
-  const std::string tmp_path = final_path + ".tmp";
-
-  // Temp file + fsync + atomic rename: a crash before the rename leaves
-  // only the (ignored) .tmp file; a crash after leaves the complete,
-  // checksummed snapshot. There is no window with a torn visible file.
-  OCT_RETURN_NOT_OK(WriteFile(tmp_path, RenderSnapshotFile(*snapshot)));
-  SyncPath(tmp_path);
-  // One-shot crash site for kill-and-recover tests: the tmp file exists,
-  // the final file does not.
-  OCT_RETURN_NOT_OK(OCT_FAILPOINT("serve.persist.rename"));
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    return Status::Internal("cannot rename snapshot into place: " +
-                            ec.message());
-  }
-  SyncPath(dir);  // Make the rename itself durable.
-  static obs::Counter* persisted =
-      PersistCounter("store.snapshots_persisted");
-  persisted->Increment();
-  if (stats != nullptr) stats->RecordSnapshotPersisted();
-  return Status::OK();
-}
-
-Result<RecoveryReport> TreeStore::RecoverLatest(const std::string& dir,
-                                                ServeStats* stats) {
-  OCT_SPAN("serve/recover_latest");
-  namespace fs = std::filesystem;
-  static obs::Counter* recovered_counter =
-      PersistCounter("store.snapshots_recovered");
-  static obs::Counter* quarantined_counter =
-      PersistCounter("store.snapshots_quarantined");
-
-  // Collect snapshot-<version>.oct candidates, newest version first.
-  std::vector<std::pair<uint64_t, fs::path>> candidates;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const fs::path& p = it->path();
-    const std::string fname = p.filename().string();
-    uint64_t version = 0;
-    char trailing = '\0';
-    if (std::sscanf(fname.c_str(), "snapshot-%" SCNu64 ".oct%c", &version,
-                    &trailing) == 1) {
-      candidates.emplace_back(version, p);
-    }
-  }
-  if (ec) {
-    return Status::NotFound("cannot scan snapshot dir " + dir + ": " +
-                            ec.message());
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-
-  RecoveryReport report;
-  for (const auto& [version, path] : candidates) {
-    ++report.files_scanned;
-    auto contents = ReadFile(path.string());
-    Result<ParsedSnapshotFile> parsed =
-        contents.ok() ? ParseSnapshotFile(contents.value())
-                      : Result<ParsedSnapshotFile>(contents.status());
-    if (!parsed.ok()) {
-      // Quarantine: keep the bytes for forensics, but make sure no future
-      // recovery (or operator glob) mistakes the file for a good snapshot.
-      ++report.files_quarantined;
-      quarantined_counter->Increment();
-      if (stats != nullptr) stats->RecordSnapshotQuarantined();
-      OCT_LOG_WARNING << "quarantining corrupt snapshot " << path.string()
-                      << ": " << parsed.status().ToString();
-      std::error_code rename_ec;
-      fs::rename(path, fs::path(path.string() + ".corrupt"), rename_ec);
-      continue;
-    }
-    ParsedSnapshotFile file = std::move(parsed).value();
-    report.persisted_version = file.version;
-    report.path = path.string();
-    const auto published =
-        Publish(std::move(file.tree),
-                "recovered:v" + std::to_string(file.version));
-    report.published_version = published->version();
-    recovered_counter->Increment();
-    if (stats != nullptr) stats->RecordSnapshotRecovered();
-    return report;
-  }
-  // Nothing recoverable — an empty dir, only `.tmp`/`.corrupt` leftovers, or
-  // every candidate quarantined just now. That is a clean cold start, not an
-  // error: the report says what was scanned and published_version stays 0.
-  return report;
 }
 
 }  // namespace serve

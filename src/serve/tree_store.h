@@ -92,22 +92,6 @@ struct VersionInfo {
   std::string note;
 };
 
-class ServeStats;
-
-/// What RecoverLatest found on disk.
-struct RecoveryReport {
-  /// Version the recovered tree was republished as in this store.
-  TreeVersion published_version = 0;
-  /// Version recorded in the snapshot file it was recovered from.
-  TreeVersion persisted_version = 0;
-  /// Path of the file the tree was recovered from.
-  std::string path;
-  /// Candidate snapshot files inspected (newest version first).
-  size_t files_scanned = 0;
-  /// Corrupt files renamed to `<name>.corrupt` and skipped.
-  size_t files_quarantined = 0;
-};
-
 class TreeStore {
  public:
   /// Retains the most recent `retain` published versions (min 1; the
@@ -150,31 +134,10 @@ class TreeStore {
 
   size_t retain_limit() const { return retain_; }
 
-  /// Persists `snapshot` (default: the current snapshot) into `dir` as
-  /// `snapshot-<version>.oct`: a CRC32-checksummed payload written to a
-  /// temp file, fsync'd, then atomically renamed into place. A crash at any
-  /// point leaves either the previous file set or the complete new file —
-  /// never a torn file recovery would trust. `stats` (may be null) receives
-  /// the persistence counters.
-  Status PersistSnapshot(const std::string& dir,
-                         std::shared_ptr<const TreeSnapshot> snapshot = nullptr,
-                         ServeStats* stats = nullptr);
-
-  /// Scans `dir` for `snapshot-*.oct` files, newest version first, and
-  /// publishes the first one whose checksum and structure verify (as a new
-  /// version, note "recovered:v<N>"). Files that fail verification are
-  /// quarantined — renamed to `<name>.corrupt` — and skipped; leftover
-  /// `.tmp` files from a crashed writer are ignored. A scannable directory
-  /// with nothing recoverable (empty, or only quarantined/tmp leftovers)
-  /// yields an OK report with published_version == 0 — cold start, not an
-  /// error; NotFound is reserved for a directory that cannot be scanned.
-  Result<RecoveryReport> RecoverLatest(const std::string& dir,
-                                       ServeStats* stats = nullptr);
-
   /// Installs `hook`, invoked synchronously inside every subsequent
   /// Publish() (on the publisher's thread, after the snapshot becomes
-  /// current) — the attachment point for durability layers such as
-  /// store::VersionLog, which commit each published tree to disk. Pass
+  /// current) — the durability attachment point: store::WarmStart installs
+  /// a hook that commits each published tree to a store::VersionLog. Pass
   /// nullptr to detach. Publishers serialize, so the hook never runs
   /// concurrently with itself.
   void SetPublishHook(std::function<void(const TreeSnapshot&)> hook);

@@ -10,6 +10,7 @@
 
 #include "core/serialization.h"
 #include "fault/failpoint.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/tree_store.h"
@@ -48,6 +49,20 @@ void SyncPath(const std::string& path) {
 #else
   (void)path;
 #endif
+}
+
+/// Writes `contents` to `path` (truncating), then fsyncs. The write helper
+/// checks the final flush, so a full disk fails here rather than silently
+/// at close; a failed write removes the partial file.
+Status WriteAndSync(const std::string& path, const std::string& contents) {
+  Status written = obs::WriteStringToFile(path, contents);
+  if (!written.ok()) {
+    std::error_code ec;
+    fs::remove(path, ec);
+    return written;
+  }
+  SyncPath(path);
+  return Status::OK();
 }
 
 /// Appends `data` to `path` (creating it), then fsyncs. Append + fsync is
@@ -472,8 +487,7 @@ Status VersionLog::OpenLocked() {
 Status VersionLog::WriteManifestLocked() {
   const std::string final_path = (fs::path(dir_) / kManifestName).string();
   const std::string tmp_path = final_path + ".tmp";
-  OCT_RETURN_NOT_OK(WriteFile(tmp_path, RenderManifest(entries_)));
-  SyncPath(tmp_path);
+  OCT_RETURN_NOT_OK(WriteAndSync(tmp_path, RenderManifest(entries_)));
   OCT_RETURN_NOT_OK(OCT_FAILPOINT("store.manifest.commit"));
   std::error_code ec;
   fs::rename(tmp_path, final_path, ec);
@@ -712,8 +726,7 @@ Status VersionLog::Compact() {
   for (LogEntry& e : kept) e.segment = new_segment;
   const std::string new_path =
       (fs::path(dir_) / SegmentFileName(new_segment)).string();
-  OCT_RETURN_NOT_OK(WriteFile(new_path, content));
-  SyncPath(new_path);
+  OCT_RETURN_NOT_OK(WriteAndSync(new_path, content));
 
   std::vector<LogEntry> old_entries = std::move(entries_);
   entries_ = std::move(kept);

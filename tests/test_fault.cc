@@ -1,8 +1,8 @@
 // Unit tests for the fault module and its integration points: failpoint
 // spec parsing and arming, deterministic probabilistic injection,
 // CancelToken deadlines, anytime (best-so-far) builds under cancellation,
-// the hardened RebuildScheduler (retries, circuit breaker, batch
-// coalescing), and crash-safe snapshot persistence in TreeStore.
+// and the hardened RebuildScheduler (retries, circuit breaker, batch
+// coalescing). Crash safety of the durable path lives in test_store.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +10,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cct/cct.h"
-#include "core/serialization.h"
 #include "ctcr/ctcr.h"
 #include "data/datasets.h"
 #include "fault/cancel.h"
@@ -504,241 +502,6 @@ TEST_F(SchedulerFaultTest, PublishFailpointFailsAttemptWithoutPublishing) {
   EXPECT_FALSE(outcome.published);
   EXPECT_EQ(store_.Current(), nullptr);  // Publish never happened.
   EXPECT_EQ(scheduler->consecutive_failures(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Crash-safe snapshot persistence.
-
-class PersistenceTest : public ::testing::Test {
- protected:
-  PersistenceTest() {
-    FailPointRegistry::Default()->DisarmAll();
-    dir_ = ::testing::TempDir() + "oct_persist_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-  }
-  ~PersistenceTest() override {
-    FailPointRegistry::Default()->DisarmAll();
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-
-  static CategoryTree MarkerTree(uint32_t round) {
-    CategoryTree tree;
-    const NodeId marker = tree.AddCategory(tree.root(), "round");
-    tree.AssignItem(marker, round);
-    const NodeId other = tree.AddCategory(tree.root(), "stable");
-    tree.AssignItem(other, 1000);
-    return tree;
-  }
-
-  std::string SnapshotPath(TreeVersion version) const {
-    return dir_ + "/snapshot-" + std::to_string(version) + ".oct";
-  }
-
-  std::string dir_;
-};
-
-TEST_F(PersistenceTest, PersistAndRecoverRoundTrips) {
-  TreeStore store;
-  store.Publish(MarkerTree(7), "publish note");
-  ServeStats stats;
-  ASSERT_TRUE(store.PersistSnapshot(dir_, nullptr, &stats).ok());
-  EXPECT_TRUE(std::filesystem::exists(SnapshotPath(1)));
-  EXPECT_EQ(stats.Snapshot().snapshots_persisted, 1u);
-
-  TreeStore recovered;
-  auto report = recovered.RecoverLatest(dir_, &stats);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 1u);
-  EXPECT_EQ(report->files_scanned, 1u);
-  EXPECT_EQ(report->files_quarantined, 0u);
-  EXPECT_EQ(stats.Snapshot().snapshots_recovered, 1u);
-
-  const auto snap = recovered.Current();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_NE(snap->FindLabel("round"), kInvalidNode);
-  EXPECT_TRUE(snap->Contains(7));
-  EXPECT_TRUE(snap->Contains(1000));
-  EXPECT_EQ(snap->note(), "recovered:v1");
-}
-
-TEST_F(PersistenceTest, RecoverPicksNewestVersion) {
-  TreeStore store;
-  store.Publish(MarkerTree(1), "v1");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-  store.Publish(MarkerTree(2), "v2");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-
-  TreeStore recovered;
-  auto report = recovered.RecoverLatest(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 2u);
-  EXPECT_TRUE(recovered.Current()->Contains(2));
-}
-
-TEST_F(PersistenceTest, CorruptFileIsQuarantinedAndOlderSnapshotWins) {
-  TreeStore store;
-  store.Publish(MarkerTree(1), "v1");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-  store.Publish(MarkerTree(2), "v2");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-
-  // Flip payload bytes of the newest snapshot: the CRC must catch it.
-  auto contents = ReadFile(SnapshotPath(2));
-  ASSERT_TRUE(contents.ok());
-  std::string bytes = std::move(contents).value();
-  bytes[bytes.size() - 2] ^= 0x5A;
-  ASSERT_TRUE(WriteFile(SnapshotPath(2), bytes).ok());
-
-  TreeStore recovered;
-  ServeStats stats;
-  auto report = recovered.RecoverLatest(dir_, &stats);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 1u);  // Fell back to the good one.
-  EXPECT_EQ(report->files_quarantined, 1u);
-  EXPECT_EQ(stats.Snapshot().snapshots_quarantined, 1u);
-  EXPECT_FALSE(std::filesystem::exists(SnapshotPath(2)));
-  EXPECT_TRUE(std::filesystem::exists(SnapshotPath(2) + ".corrupt"));
-  EXPECT_TRUE(recovered.Current()->Contains(1));
-
-  // The quarantined file no longer matches the scan pattern.
-  TreeStore again;
-  auto second = again.RecoverLatest(dir_);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->files_scanned, 1u);
-}
-
-TEST_F(PersistenceTest, TruncatedFileIsDataLossNotServed) {
-  TreeStore store;
-  store.Publish(MarkerTree(3), "v1");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-
-  auto contents = ReadFile(SnapshotPath(1));
-  ASSERT_TRUE(contents.ok());
-  const std::string bytes = contents->substr(0, contents->size() - 5);
-  ASSERT_TRUE(WriteFile(SnapshotPath(1), bytes).ok());
-
-  TreeStore recovered;
-  // Every candidate quarantines away mid-scan: that is a clean "nothing
-  // recoverable" report (cold start), not an error.
-  const auto report = recovered.RecoverLatest(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->published_version, 0u);
-  EXPECT_EQ(report->files_scanned, 1u);
-  EXPECT_EQ(report->files_quarantined, 1u);
-  EXPECT_EQ(recovered.Current(), nullptr);
-  EXPECT_TRUE(std::filesystem::exists(SnapshotPath(1) + ".corrupt"));
-}
-
-TEST_F(PersistenceTest, LeftoverTmpFileFromCrashIsIgnored) {
-  TreeStore store;
-  store.Publish(MarkerTree(4), "v1");
-  // Simulated crash between tmp write and rename: the one-shot failpoint
-  // leaves the .tmp behind with no visible snapshot.
-  ASSERT_TRUE(FailPointRegistry::Default()
-                  ->Arm("serve.persist.rename", "error:1:x1")
-                  .ok());
-  EXPECT_FALSE(store.PersistSnapshot(dir_).ok());
-  EXPECT_TRUE(std::filesystem::exists(SnapshotPath(1) + ".tmp"));
-  EXPECT_FALSE(std::filesystem::exists(SnapshotPath(1)));
-
-  TreeStore recovered;
-  // Only the .tmp leftover exists: clean empty report, nothing published.
-  auto empty_report = recovered.RecoverLatest(dir_);
-  ASSERT_TRUE(empty_report.ok());
-  EXPECT_EQ(empty_report->published_version, 0u);
-  EXPECT_EQ(empty_report->files_scanned, 0u);
-  EXPECT_EQ(recovered.Current(), nullptr);
-
-  // Retrying the persist (fault exhausted) completes the write; recovery
-  // then succeeds even with the stale .tmp still present.
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-  auto report = recovered.RecoverLatest(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 1u);
-}
-
-TEST_F(PersistenceTest, PersistFailpointAndEmptyStoreSurfaceErrors) {
-  TreeStore empty;
-  EXPECT_EQ(empty.PersistSnapshot(dir_).code(),
-            StatusCode::kFailedPrecondition);
-
-  TreeStore store;
-  store.Publish(MarkerTree(5), "v1");
-  ASSERT_TRUE(
-      FailPointRegistry::Default()->Arm("serve.persist", "error:1:x1").ok());
-  EXPECT_EQ(store.PersistSnapshot(dir_).code(), StatusCode::kInternal);
-  EXPECT_FALSE(std::filesystem::exists(SnapshotPath(1)));
-}
-
-TEST_F(PersistenceTest, RecoverOnMissingDirectoryIsNotFound) {
-  TreeStore store;
-  EXPECT_EQ(store.RecoverLatest(dir_ + "/nonexistent").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(PersistenceTest, RecoverOnEmptyDirectoryIsCleanReport) {
-  ASSERT_TRUE(std::filesystem::create_directories(dir_));
-  TreeStore store;
-  auto report = store.RecoverLatest(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->published_version, 0u);
-  EXPECT_EQ(report->persisted_version, 0u);
-  EXPECT_EQ(report->files_scanned, 0u);
-  EXPECT_EQ(report->files_quarantined, 0u);
-  EXPECT_EQ(store.Current(), nullptr);
-}
-
-TEST_F(PersistenceTest, RecoverOnOnlyQuarantinedFilesIsCleanReport) {
-  // A dir holding nothing but prior quarantine leftovers: prior runs
-  // renamed every snapshot to .corrupt, so the scan sees zero candidates
-  // and must report a clean cold start instead of an error.
-  TreeStore store;
-  store.Publish(MarkerTree(6), "v1");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-  std::filesystem::rename(SnapshotPath(1), SnapshotPath(1) + ".corrupt");
-
-  TreeStore recovered;
-  ServeStats stats;
-  auto report = recovered.RecoverLatest(dir_, &stats);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->published_version, 0u);
-  EXPECT_EQ(report->files_scanned, 0u);
-  EXPECT_EQ(report->files_quarantined, 0u);
-  EXPECT_EQ(stats.Snapshot().snapshots_recovered, 0u);
-  EXPECT_EQ(recovered.Current(), nullptr);
-}
-
-TEST_F(PersistenceTest, RecoverMixedValidTruncatedCorruptPicksValid) {
-  TreeStore store;
-  store.Publish(MarkerTree(1), "v1");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-  store.Publish(MarkerTree(2), "v2");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-  store.Publish(MarkerTree(3), "v3");
-  ASSERT_TRUE(store.PersistSnapshot(dir_).ok());
-
-  // v3 truncated (torn write), v2 bit-flipped (rot); v1 stays good.
-  auto v3 = ReadFile(SnapshotPath(3));
-  ASSERT_TRUE(v3.ok());
-  ASSERT_TRUE(WriteFile(SnapshotPath(3), v3->substr(0, v3->size() / 2)).ok());
-  auto v2 = ReadFile(SnapshotPath(2));
-  ASSERT_TRUE(v2.ok());
-  std::string bytes = std::move(v2).value();
-  bytes[bytes.size() - 3] ^= 0x81;
-  ASSERT_TRUE(WriteFile(SnapshotPath(2), bytes).ok());
-
-  TreeStore recovered;
-  auto report = recovered.RecoverLatest(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 1u);
-  EXPECT_EQ(report->files_scanned, 3u);
-  EXPECT_EQ(report->files_quarantined, 2u);
-  ASSERT_NE(recovered.Current(), nullptr);
-  EXPECT_TRUE(recovered.Current()->Contains(1));
-  EXPECT_TRUE(std::filesystem::exists(SnapshotPath(3) + ".corrupt"));
-  EXPECT_TRUE(std::filesystem::exists(SnapshotPath(2) + ".corrupt"));
 }
 
 }  // namespace

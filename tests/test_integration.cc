@@ -1,5 +1,5 @@
 // Cross-module integration tests: full pipeline runs (dataset -> algorithm
-// -> score), serialization round-trips of algorithm outputs, compaction
+// -> score), storage-format round-trips of algorithm outputs, compaction
 // invariance, tree-diff sanity against the ET baseline, and CCT property
 // sweeps over random inputs.
 
@@ -15,6 +15,7 @@
 #include "ctcr/reemploy.h"
 #include "data/datasets.h"
 #include "eval/harness.h"
+#include "store/nested_set.h"
 #include "util/rng.h"
 
 namespace oct {
@@ -45,10 +46,15 @@ TEST(Integration, SerializedTreeScoresIdentically) {
   const data::Dataset& ds = SmallDataset();
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   const ctcr::CtcrResult run = ctcr::BuildCategoryTree(ds.input, sim);
-  auto parsed = ParseTree(SerializeTree(run.tree));
+  // Through the version log's payload format and back.
+  auto parsed = store::ParseNestedSet(
+      store::SerializeNestedSet(store::EncodeNestedSet(run.tree)));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto decoded = store::DecodeNestedSet(parsed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(SerializeTree(*decoded), SerializeTree(run.tree));
   const double before = ScoreTree(ds.input, run.tree, sim).total;
-  const double after = ScoreTree(ds.input, *parsed, sim).total;
+  const double after = ScoreTree(ds.input, *decoded, sim).total;
   EXPECT_DOUBLE_EQ(before, after);
 }
 

@@ -1,9 +1,13 @@
-// Round-trip and error-handling tests for input/tree serialization.
+// Round-trip and error-handling tests for input serialization, the
+// canonical tree rendering, and label escaping through the version log's
+// nested-set payload.
 
 #include <gtest/gtest.h>
 
 #include "core/serialization.h"
+#include "obs/export.h"
 #include "paper_inputs.h"
+#include "store/nested_set.h"
 
 namespace oct {
 namespace {
@@ -99,19 +103,22 @@ TEST(TreeSerialization, PropertyAdversarialLabelsRoundTrip) {
     tree.AssignItem(node, static_cast<ItemId>(i));
     if (i % 2 == 0) parent = node;
   }
-  const std::string text = SerializeTree(tree);
-  auto parsed = ParseTree(text);
+  // Through the version log's payload format and back.
+  auto parsed = store::ParseNestedSet(
+      store::SerializeNestedSet(store::EncodeNestedSet(tree)));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->NumCategories(), tree.NumCategories());
+  auto decoded = store::DecodeNestedSet(parsed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->NumCategories(), tree.NumCategories());
   // Every adversarial label survives on some alive node.
   for (const std::string& label : labels) {
     bool found = false;
-    for (NodeId id : parsed->PreOrder()) {
-      if (parsed->node(id).label == label) found = true;
+    for (NodeId id : decoded->PreOrder()) {
+      if (decoded->node(id).label == label) found = true;
     }
     EXPECT_TRUE(found) << "label lost: '" << label << "'";
   }
-  EXPECT_EQ(SerializeTree(*parsed), text);
+  EXPECT_EQ(SerializeTree(*decoded), SerializeTree(tree));
 }
 
 TEST(InputSerialization, RejectsGarbage) {
@@ -125,58 +132,31 @@ TEST(InputSerialization, RejectsGarbage) {
       ParseInput("octree-input v1\nuniverse 2\nset 1 - q : 5\n").ok());
 }
 
-TEST(TreeSerialization, RoundTripPreservingStructure) {
+TEST(TreeSerialization, CanonicalFormCompactsIdsAndTombstones) {
   CategoryTree tree;
   const NodeId a = tree.AddCategory(tree.root(), "shirts", 0);
-  const NodeId b = tree.AddCategory(a, "nike shirts", 1);
   const NodeId c = tree.AddCategory(tree.root(), "misc");
+  const NodeId b = tree.AddCategory(a, "nike shirts", 1);
+  const NodeId gone = tree.AddCategory(c, "gone");
   tree.AssignItem(a, 3);
   tree.AssignItem(b, 1);
   tree.AssignItem(b, 2);
   tree.AssignItem(c, 9);
-  const std::string text = SerializeTree(tree);
-  auto parsed = ParseTree(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->NumCategories(), tree.NumCategories());
-  // Pre-order compaction: ids are 0=root,1=a,2=b,3=c.
-  EXPECT_EQ(parsed->node(1).label, "shirts");
-  EXPECT_EQ(parsed->node(1).source_set, 0u);
-  EXPECT_EQ(parsed->node(2).parent, 1u);
-  EXPECT_EQ(parsed->node(2).direct_items, ItemSet({1, 2}));
-  EXPECT_EQ(parsed->node(3).label, "misc");
-  EXPECT_TRUE(parsed->ValidateStructure().ok());
-  // Serialization is stable.
-  EXPECT_EQ(SerializeTree(*parsed), text);
-}
-
-TEST(TreeSerialization, CompactsTombstones) {
-  CategoryTree tree;
-  const NodeId a = tree.AddCategory(tree.root(), "a");
-  const NodeId b = tree.AddCategory(a, "b");
-  tree.AssignItem(b, 1);
-  tree.RemoveNodeKeepChildren(a);
-  auto parsed = ParseTree(SerializeTree(tree));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->NumCategories(), 2u);  // root + b.
-}
-
-TEST(TreeSerialization, RejectsMalformedDocuments) {
-  EXPECT_FALSE(ParseTree("").ok());
-  EXPECT_FALSE(ParseTree("octree-tree v1\nnodes 0\n").ok());
-  // Child before parent.
-  EXPECT_FALSE(ParseTree("octree-tree v1\nnodes 2\n"
-                         "node 0 - - root :\n"
-                         "node 1 2 - x :\n")
-                   .ok());
-  // Count mismatch.
-  EXPECT_FALSE(ParseTree("octree-tree v1\nnodes 2\n"
-                         "node 0 - - root :\n")
-                   .ok());
+  tree.RemoveNodeKeepChildren(gone);
+  // Ids are renumbered in pre-order (root, shirts, nike shirts, misc) and
+  // the tombstone is skipped.
+  EXPECT_EQ(SerializeTree(tree),
+            "octree-tree v1\n"
+            "nodes 4\n"
+            "node 0 - - root :\n"
+            "node 1 0 0 shirts : 3\n"
+            "node 2 1 1 nike%20shirts : 1 2\n"
+            "node 3 0 - misc : 9\n");
 }
 
 TEST(FileIo, WriteReadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/octree_io_test.txt";
-  ASSERT_TRUE(WriteFile(path, "hello\nworld\n").ok());
+  ASSERT_TRUE(obs::WriteStringToFile(path, "hello\nworld\n").ok());
   auto read = ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "hello\nworld\n");

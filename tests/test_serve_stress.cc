@@ -1,5 +1,5 @@
 // Thread-stress tests for the serving stack, designed to run under
-// ThreadSanitizer (tools/run_tsan.sh): N reader threads hammer
+// ThreadSanitizer (tools/run_sanitizers.sh tsan): N reader threads hammer
 // TreeStore::Current() and snapshot lookups while publishes, rollbacks,
 // diffs, and background rebuilds run concurrently. The invariants checked:
 //   - readers never crash or observe a torn snapshot,
@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -24,6 +25,7 @@
 #include "store/version_log.h"
 #include "delta/maintainer.h"
 #include "fault/failpoint.h"
+#include "obs/export.h"
 #include "paper_inputs.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
@@ -188,14 +190,24 @@ TEST(ServeStress, ReadersProceedDuringBackgroundRebuilds) {
   EXPECT_GE(s.rebuilds_triggered, 2u);
 }
 
-// Chaos test: readers hammer the store while rebuilds, publishes, and
-// snapshot persists run with failpoints armed on every fault site at once.
-// Whatever the injected schedule does, the serving invariants must hold:
-// readers only ever see complete snapshots, versions stay monotone, and
-// the snapshot directory ends holding a recoverable, checksummed file.
+/// Asserts that `log`'s committed lineage is a chain: each record's parent
+/// is the record before it.
+void ExpectLineageChain(const store::VersionLog& log) {
+  const std::vector<store::LogEntry> lineage = log.Lineage();
+  for (size_t i = 1; i < lineage.size(); ++i) {
+    EXPECT_EQ(lineage[i].parent, lineage[i - 1].version) << "record " << i;
+  }
+}
+
+// Chaos test: readers hammer the store while rebuilds and publishes run,
+// every publish commits to a WarmStart-hooked version log, and failpoints
+// are armed on every fault site at once. Whatever the injected schedule
+// does, the serving invariants must hold: readers only ever see complete
+// snapshots, versions stay monotone, and a restart warm-starts from the
+// log's latest committed tree.
 // Errors and delays only (no `crash`): the test must also pass under TSan,
 // where abort-based one-shots are off the table.
-TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
+TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableLog) {
   using testing_inputs::Figure2Input;
   auto* registry = fault::FailPointRegistry::Default();
 
@@ -207,17 +219,20 @@ TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
     ASSERT_TRUE(registry
                     ->ArmFromSpec("serve.rebuild=error:0.3,"
                                   "serve.publish=error:0.2,"
-                                  "serve.persist=error:0.3,"
-                                  "serve.persist.rename=error:0.2,"
+                                  "store.commit=error:0.3,"
+                                  "store.manifest.commit=error:0.2,"
                                   "mis.solve=delay:1ms:0.5")
                     .ok());
   }
 
-  const std::string dir = ::testing::TempDir() + "oct_chaos_snapshots";
+  const std::string dir = ::testing::TempDir() + "oct_chaos_log";
   std::filesystem::remove_all(dir);
+  auto log = store::VersionLog::Open(dir);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
 
   data::Dataset dataset;
   TreeStore store;
+  ASSERT_TRUE(store::WarmStart(log->get(), &store).ok());
   ServeStats stats;
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   ThreadPool pool(2);
@@ -258,23 +273,22 @@ TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
   }
   while (started.load() < readers.size()) std::this_thread::yield();
 
-  // Chaos rounds: drift back and forth while persisting snapshots. Any of
-  // these calls may fail by injection — that is the point; they must fail
-  // cleanly (Status out, no torn state) while readers keep going.
+  // Chaos rounds: drift back and forth; every publish commits to the log.
+  // Any rebuild, publish or commit may fail by injection — that is the
+  // point; they must fail cleanly (Status out, log unchanged up to its
+  // commit point) while readers keep going.
   OctInput drift(20);
   drift.Add(ItemSet({10, 11, 12}), 2.0, "joggers");
   drift.Add(ItemSet({13, 14, 15, 16}), 1.0, "windbreakers");
-  size_t persisted_ok = 0;
   for (int round = 0; round < 12; ++round) {
     const OctInput& batch = (round % 2 == 0) ? drift : Figure2Input();
     scheduler.OfferBatch(batch);
     scheduler.WaitForRebuild();
-    if (store.PersistSnapshot(dir, nullptr, &stats).ok()) ++persisted_ok;
   }
-  // Under injection some persists fail; retry clean until one lands so the
+  // Under injection some commits fail; republish until one lands so the
   // recovery check below is meaningful even on unlucky schedules.
-  for (int i = 0; i < 20 && persisted_ok == 0; ++i) {
-    if (store.PersistSnapshot(dir, nullptr, &stats).ok()) ++persisted_ok;
+  for (int i = 0; i < 20 && (*log)->LatestVersion() == 0; ++i) {
+    EXPECT_TRUE(store.Rollback(store.CurrentVersion()).ok());
   }
 
   done.store(true, std::memory_order_release);
@@ -283,24 +297,35 @@ TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
     EXPECT_TRUE(ok[r].load()) << "reader " << r << " saw an inconsistency";
   }
 
-  // Every snapshot that reached its final name is complete and serves a
-  // tree after recovery — torn writes stay behind as ignored .tmp files.
-  ASSERT_GT(persisted_ok, 0u);
+  // Restart, run clean: failed commits left only uncommitted bytes, so a
+  // reopen lands on the latest committed version and warm-starts its tree.
+  registry->DisarmAll();
+  const TreeVersion committed = (*log)->LatestVersion();
+  ASSERT_GT(committed, 0u);
+  const std::string committed_tree =
+      SerializeTree((*log)->OpenLatest().value());
+  store.SetPublishHook(nullptr);
+  log->reset();
+  auto reopened = store::VersionLog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->LatestVersion(), committed);
+  EXPECT_EQ((*reopened)->open_report().records_quarantined, 0u);
+  EXPECT_FALSE((*reopened)->open_report().manifest_rebuilt);
+  ExpectLineageChain(**reopened);
   TreeStore recovered;
-  const auto report = recovered.RecoverLatest(dir, &stats);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->files_quarantined, 0u);
-  EXPECT_NE(recovered.Current(), nullptr);
+  ASSERT_TRUE(store::WarmStart(reopened->get(), &recovered).ok());
+  ASSERT_NE(recovered.Current(), nullptr);
+  EXPECT_EQ(SerializeTree(recovered.Current()->tree()), committed_tree);
 
-  if (!env_armed) registry->DisarmAll();
   std::filesystem::remove_all(dir);
 }
 
 // Second chaos scenario, deterministic phases: the circuit breaker opens
 // under sustained rebuild failures and recovers after the cooldown, then a
-// kill-and-recover cycle (crash mid-persist + bit rot on the newest file)
-// restores the last good checksummed snapshot — all while readers run.
-TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
+// kill-and-recover cycle (bit rot on the newest committed record + a
+// publish whose commit dies before its manifest rename) warm-starts from
+// the last good commit — all while readers run.
+TEST(ServeStress, BreakerOpensRecoversAndKillRecoverWarmStartsFromLog) {
   using testing_inputs::Figure2Input;
   auto* registry = fault::FailPointRegistry::Default();
   if (std::getenv("OCT_FAILPOINTS") != nullptr) {
@@ -311,9 +336,12 @@ TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
 
   const std::string dir = ::testing::TempDir() + "oct_chaos_breaker";
   std::filesystem::remove_all(dir);
+  auto log = store::VersionLog::Open(dir);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
 
   data::Dataset dataset;
   TreeStore store;
+  ASSERT_TRUE(store::WarmStart(log->get(), &store).ok());
   ServeStats stats;
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   ThreadPool pool(2);
@@ -323,10 +351,11 @@ TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
   policy.breaker_cooldown_seconds = 0.02;
   RebuildScheduler scheduler(&store, &stats, &dataset, sim, policy, &pool);
 
-  // Clean bootstrap + a durable good snapshot (the recovery target).
+  // Clean bootstrap; its commit is the recovery target.
   ASSERT_TRUE(scheduler.RebuildNow(Figure2Input()).published);
-  ASSERT_TRUE(store.PersistSnapshot(dir, nullptr, &stats).ok());
   const TreeVersion good_version = store.CurrentVersion();
+  ASSERT_EQ((*log)->LatestVersion(), good_version);
+  const std::string good_tree = SerializeTree(store.Current()->tree());
 
   std::atomic<bool> done{false};
   std::atomic<bool> reader_ok{true};
@@ -368,38 +397,44 @@ TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
   EXPECT_GE(stats.Snapshot().breaker_opened, 1u);
   EXPECT_GE(stats.Snapshot().breaker_closed, 1u);
 
-  // Phase 3: kill-and-recover. A crash lands mid-persist (tmp left, no
-  // visible file), and the newest previously-persisted snapshot suffers
-  // bit rot. Recovery must quarantine the rotten file and serve the last
-  // good checksummed one — never the corrupt bytes.
-  ASSERT_TRUE(store.PersistSnapshot(dir, nullptr, &stats).ok());
-  const TreeVersion newest = store.CurrentVersion();
-  const std::string newest_path =
-      dir + "/snapshot-" + std::to_string(newest) + ".oct";
-  auto bytes = ReadFile(newest_path);
-  ASSERT_TRUE(bytes.ok());
-  std::string rotten = std::move(bytes).value();
-  rotten[rotten.size() / 2] ^= 0x40;
-  ASSERT_TRUE(WriteFile(newest_path, rotten).ok());
-  ASSERT_TRUE(
-      registry->Arm("serve.persist.rename", "error:1:x1").ok());
-  EXPECT_FALSE(store.PersistSnapshot(dir, nullptr, &stats).ok());
+  // Phase 3: kill-and-recover. The newest committed record suffers bit
+  // rot, and the next publish's commit dies between writing MANIFEST.tmp
+  // and renaming it. Recovery must drop the rotten record and serve the
+  // last good commit — never the corrupt bytes.
+  const store::LogEntry newest = (*log)->Lineage().back();
+  ASSERT_GT(newest.version, good_version);
+  char segment_name[32];
+  std::snprintf(segment_name, sizeof(segment_name), "/seg-%06u.log",
+                newest.segment);
+  const std::string segment_path = dir + segment_name;
+  std::string bytes = ReadFile(segment_path).value();
+  bytes[newest.offset + newest.bytes - 2] ^= 0x40;
+  ASSERT_TRUE(obs::WriteStringToFile(segment_path, bytes).ok());
+  ASSERT_TRUE(registry->Arm("store.manifest.commit", "error:1:x1").ok());
+  ASSERT_TRUE(store.Rollback(store.CurrentVersion()).ok());
+  EXPECT_EQ((*log)->LatestVersion(), newest.version);  // Commit failed.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/MANIFEST.tmp"));
   registry->DisarmAll();
 
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_TRUE(reader_ok.load()) << "reader saw an inconsistency";
 
+  store.SetPublishHook(nullptr);
+  log->reset();
+  auto reopened = store::VersionLog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->open_report().records_quarantined, 1u);
+  EXPECT_EQ((*reopened)->LatestVersion(), good_version);
+  ExpectLineageChain(**reopened);
   TreeStore recovered;
-  ServeStats recovery_stats;
-  const auto report = recovered.RecoverLatest(dir, &recovery_stats);
+  const auto report = store::WarmStart(reopened->get(), &recovered);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->persisted_version, good_version);
-  EXPECT_EQ(report->files_quarantined, 1u);
-  EXPECT_TRUE(std::filesystem::exists(newest_path + ".corrupt"));
+  EXPECT_EQ(report->log_version, good_version);
   ASSERT_NE(recovered.Current(), nullptr);
   EXPECT_EQ(recovered.Current()->note(),
-            "recovered:v" + std::to_string(good_version));
+            "warmstart:v" + std::to_string(good_version));
+  EXPECT_EQ(SerializeTree(recovered.Current()->tree()), good_tree);
 
   std::filesystem::remove_all(dir);
 }

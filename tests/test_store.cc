@@ -1,7 +1,7 @@
 // oct::store tests: nested-set encoding round trips, version-log
-// durability (torn writes, manifest corruption, crash recovery), the
-// replication/failover policy, and a fork + SIGKILL crash harness that
-// asserts the parent-side recovery invariant.
+// durability (torn writes, bit rot, a full disk, manifest corruption,
+// crash recovery), the replication/failover policy, and a fork + SIGKILL
+// crash harness that asserts the parent-side recovery invariant.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "core/category_tree.h"
 #include "core/serialization.h"
 #include "fault/failpoint.h"
+#include "obs/export.h"
 #include "serve/exposition.h"
 #include "serve/tree_store.h"
 #include "store/nested_set.h"
@@ -260,9 +261,9 @@ TEST_F(VersionLogTest, TornSegmentTailIsTruncatedOnOpen) {
   const std::string seg = dir_ + "/seg-000001.log";
   auto contents = ReadFile(seg);
   ASSERT_TRUE(contents.ok());
-  ASSERT_TRUE(
-      WriteFile(seg, contents.value() + "record 3 2 9999 00000000 x\ngarbage")
-          .ok());
+  ASSERT_TRUE(obs::WriteStringToFile(
+                  seg, contents.value() + "record 3 2 9999 00000000 x\ngarbage")
+                  .ok());
 
   auto reopened = VersionLog::Open(dir_);
   ASSERT_TRUE(reopened.ok());
@@ -298,6 +299,53 @@ TEST_F(VersionLogTest, FailedManifestCommitLeavesLogAtPreviousVersion) {
   EXPECT_EQ(Canon((*reopened)->OpenAt(2).value()), Canon(TreeForRound(2)));
 }
 
+TEST_F(VersionLogTest, FullDiskManifestWriteFailsTheCommit) {
+  // /dev/full fails every write with ENOSPC. A manifest write that fails
+  // only at its final flush must fail the commit, never rename an empty
+  // MANIFEST into place.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto log = VersionLog::Open(dir_);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->Commit(TreeForRound(1), 1).ok());
+  std::filesystem::create_symlink("/dev/full", dir_ + "/MANIFEST.tmp");
+  EXPECT_FALSE((*log)->Commit(TreeForRound(2), 2).ok());
+  EXPECT_EQ((*log)->LatestVersion(), 1u);
+
+  // The failed write removed the temp name, so a retry lands.
+  ASSERT_TRUE((*log)->Commit(TreeForRound(2), 2).ok());
+  auto reopened = VersionLog::Open(dir_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_FALSE((*reopened)->open_report().manifest_rebuilt);
+  EXPECT_EQ((*reopened)->LatestVersion(), 2u);
+  EXPECT_EQ(Canon((*reopened)->OpenLatest().value()), Canon(TreeForRound(2)));
+}
+
+TEST_F(VersionLogTest, NewestRecordBitRotFallsBackToPreviousVersion) {
+  {
+    auto log = VersionLog::Open(dir_);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE((*log)->Commit(TreeForRound(1), 1).ok());
+    ASSERT_TRUE((*log)->Commit(TreeForRound(2), 2).ok());
+  }
+  // Flip one payload byte of v2's record; the manifest stays intact, so
+  // only the record's CRC can catch it.
+  const std::string seg = dir_ + "/seg-000001.log";
+  std::string bytes = ReadFile(seg).value();
+  bytes[bytes.size() - 2] ^= 0x5A;
+  ASSERT_TRUE(obs::WriteStringToFile(seg, bytes).ok());
+
+  auto log = VersionLog::Open(dir_);
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ((*log)->open_report().records_quarantined, 1u);
+  EXPECT_EQ((*log)->LatestVersion(), 1u);
+  TreeStore tree_store;
+  auto report = WarmStart(log->get(), &tree_store);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->log_version, 1u);
+  ASSERT_NE(tree_store.Current(), nullptr);
+  EXPECT_EQ(Canon(tree_store.Current()->tree()), Canon(TreeForRound(1)));
+}
+
 TEST_F(VersionLogTest, CorruptManifestIsQuarantinedAndRebuilt) {
   {
     auto log = VersionLog::Open(dir_);
@@ -311,7 +359,7 @@ TEST_F(VersionLogTest, CorruptManifestIsQuarantinedAndRebuilt) {
   ASSERT_TRUE(contents.ok());
   std::string bytes = std::move(contents).value();
   bytes[bytes.size() / 2] ^= 0x42;
-  ASSERT_TRUE(WriteFile(manifest, bytes).ok());
+  ASSERT_TRUE(obs::WriteStringToFile(manifest, bytes).ok());
 
   auto reopened = VersionLog::Open(dir_);
   ASSERT_TRUE(reopened.ok());
@@ -658,7 +706,9 @@ TEST_F(CrashHarnessTest, SigkillDuringCommitLoopNeverTearsTheLog) {
     for (uint32_t v = 1; v <= 10000; ++v) {
       if (!(*log)->Commit(TreeForRound(v % 16), v).ok()) _exit(3);
       // Progress marker written only after a successful commit.
-      if (!WriteFile(progress_path, std::to_string(v)).ok()) _exit(4);
+      if (!obs::WriteStringToFile(progress_path, std::to_string(v)).ok()) {
+        _exit(4);
+      }
     }
     _exit(0);
   }
@@ -690,34 +740,34 @@ TEST_F(CrashHarnessTest, SigkillDuringCommitLoopNeverTearsTheLog) {
   std::filesystem::remove(progress_path);
 }
 
-TEST_F(CrashHarnessTest, AbortMidPersistSnapshotKeepsPreviousSnapshot) {
+TEST_F(CrashHarnessTest, AbortBeforeManifestRenameKeepsPreviousVersion) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    TreeStore tree_store;
-    tree_store.Publish(TreeForRound(1), "v1");
-    if (!tree_store.PersistSnapshot(dir_).ok()) _exit(2);
-    tree_store.Publish(TreeForRound(2), "v2");
-    // Die between the tmp write and the rename of snapshot v2.
+    auto log = VersionLog::Open(dir_);
+    if (!log.ok()) _exit(2);
+    if (!(*log)->Commit(TreeForRound(1), 1).ok()) _exit(3);
+    // Die after MANIFEST.tmp is written and before it is renamed.
     if (!FailPointRegistry::Default()
-             ->Arm("serve.persist.rename", "crash")
+             ->Arm("store.manifest.commit", "crash")
              .ok()) {
-      _exit(3);
+      _exit(4);
     }
-    (void)tree_store.PersistSnapshot(dir_);
-    _exit(4);
+    (void)(*log)->Commit(TreeForRound(2), 2);
+    _exit(5);  // Unreachable: the failpoint aborts.
   }
   int wstatus = 0;
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(wstatus));
   EXPECT_EQ(WTERMSIG(wstatus), SIGABRT);
+  const std::string tmp_path = dir_ + "/MANIFEST.tmp";
+  ASSERT_TRUE(std::filesystem::exists(tmp_path));
 
-  TreeStore recovered;
-  auto report = recovered.RecoverLatest(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 1u);
-  ASSERT_NE(recovered.Current(), nullptr);
-  EXPECT_EQ(Canon(recovered.Current()->tree()), Canon(TreeForRound(1)));
+  auto log = VersionLog::Open(dir_);
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ((*log)->LatestVersion(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(tmp_path));
+  EXPECT_EQ(Canon((*log)->OpenLatest().value()), Canon(TreeForRound(1)));
 }
 
 #endif  // OCT_STORE_HAVE_FORK && !OCT_STORE_NO_FORK

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Chaos runner: replays randomized failpoint schedules against the serving
-# stack's chaos-capable test binaries (tests/test_fault and the chaos test
-# in tests/test_serve_stress). Each round draws per-site error/delay
+# Chaos runner: replays randomized failpoint schedules against the chaos
+# tests in tests/test_serve_stress (serving + version-log commits, delta
+# splices, replica failover). Each round draws per-site error/delay
 # probabilities from a seeded stream and injects them through
 # OCT_FAILPOINTS / OCT_FAILPOINT_SEED, so any failing round is exactly
 # reproducible from the seed it prints.
@@ -43,7 +43,7 @@ case "$MODE" in
     ;;
 esac
 
-TARGETS="test_fault test_serve_stress"
+TARGETS="test_serve_stress"
 # Plain mode also gets the kill-and-recover bench: real fork + SIGKILL
 # writers plus replica failover under live /route traffic. Unsafe (and not
 # built) under TSan, where the error/delay replication round below covers
@@ -66,14 +66,14 @@ for round in $(seq 1 "$ROUNDS"); do
   fp_seed="$((SEED + round))"
   schedule="serve.rebuild=error:$(prob 40)"
   schedule="$schedule,serve.publish=error:$(prob 30)"
-  schedule="$schedule,serve.persist=error:$(prob 40)"
-  schedule="$schedule,serve.persist.rename=error:$(prob 30)"
+  schedule="$schedule,store.commit=error:$(prob 40)"
+  schedule="$schedule,store.manifest.commit=error:$(prob 30)"
   schedule="$schedule,mis.solve=delay:$((RANDOM % 3 + 1))ms:$(prob 60)"
   echo "== chaos round $round/$ROUNDS  seed=$fp_seed"
   echo "   OCT_FAILPOINTS=$schedule"
   OCT_FAILPOINTS="$schedule" OCT_FAILPOINT_SEED="$fp_seed" \
     "$BUILD_DIR/tests/test_serve_stress" \
-    --gtest_filter='ServeStress.ReadersSurviveChaosScheduleWithRecoverableSnapshots'
+    --gtest_filter='ServeStress.ReadersSurviveChaosScheduleWithRecoverableLog'
 
   # Same round, delta path: kill splices mid-flight and verify failed
   # pumps leave the published tree untouched and the maintainer recovers.
