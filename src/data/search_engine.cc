@@ -1,6 +1,7 @@
 #include "data/search_engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -21,6 +22,25 @@ uint64_t Mix(uint64_t a, uint64_t b) {
 /// Deterministic uniform double in [0,1) from a hash.
 double HashToUnit(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Amplitude of the phrasing-dependent relevance noise. The relevance
+/// formula and the near-miss bound both read it, so they cannot drift apart.
+constexpr double kPhrasingNoise = 0.004;
+
+bool ItemThenRelevance(const SearchEngine::Hit& a, const SearchEngine::Hit& b) {
+  if (a.item != b.item) return a.item < b.item;
+  return a.relevance > b.relevance;
+}
+
+bool SameItem(const SearchEngine::Hit& a, const SearchEngine::Hit& b) {
+  return a.item == b.item;
+}
+
+/// Rank order: relevance descending, ties by item ascending.
+bool RanksAbove(const SearchEngine::Hit& a, const SearchEngine::Hit& b) {
+  if (a.relevance != b.relevance) return a.relevance > b.relevance;
+  return a.item < b.item;
 }
 
 }  // namespace
@@ -101,46 +121,54 @@ Status SearchEngine::ValidateQuery(const Query& query) const {
   return Status::OK();
 }
 
-std::vector<SearchEngine::Hit> SearchEngine::Search(const Query& query) const {
+size_t SearchEngine::CollectHits(const Query& query, double floor,
+                                 std::vector<Hit>* hits) const {
   const Status valid = ValidateQuery(query);
   OCT_CHECK(valid.ok()) << valid.ToString();
   const uint64_t qkey = Mix(options_.seed, query.Key());
   const uint64_t base_key = Mix(options_.seed, query.BaseKey());
+  auto relevance_of = [&](ItemId item, double base) {
+    // The bulk of the noise is shared across paraphrases of one intent;
+    // phrasing only perturbs mildly (different tokenization).
+    const double u = HashToUnit(Mix(base_key, item)) * 2.0 - 1.0;  // [-1, 1)
+    const double p = HashToUnit(Mix(qkey, item)) * 2.0 - 1.0;
+    double r = base + u * options_.noise + p * kPhrasingNoise;
+    return std::clamp(r, 0.0, 1.0);
+  };
 
-  // Full matches: intersect postings, smallest list first.
+  // Full matches: intersect postings, smallest list first. A single
+  // conjunct reads its posting list in place.
   std::vector<const std::vector<ItemId>*> lists;
   for (const auto& [attr, value] : query.conjuncts) {
     lists.push_back(&postings_[attr][value]);
   }
   std::sort(lists.begin(), lists.end(),
             [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<ItemId> full = *lists[0];
+  const std::vector<ItemId>* matches = lists[0];
+  std::vector<ItemId> full;
   for (size_t i = 1; i < lists.size(); ++i) {
     std::vector<ItemId> next;
-    next.reserve(full.size());
-    std::set_intersection(full.begin(), full.end(), lists[i]->begin(),
+    next.reserve(matches->size());
+    std::set_intersection(matches->begin(), matches->end(), lists[i]->begin(),
                           lists[i]->end(), std::back_inserter(next));
     full = std::move(next);
+    matches = &full;
   }
-
-  std::vector<Hit> hits;
-  hits.reserve(full.size());
-  auto relevance_of = [&](ItemId item, double base) {
-    // The bulk of the noise is shared across paraphrases of one intent;
-    // phrasing only perturbs mildly (different tokenization).
-    const double u = HashToUnit(Mix(base_key, item)) * 2.0 - 1.0;  // [-1, 1)
-    const double p = HashToUnit(Mix(qkey, item)) * 2.0 - 1.0;
-    double r = base + u * options_.noise + p * 0.004;
-    return std::clamp(r, 0.0, 1.0);
-  };
-  for (ItemId item : full) {
-    hits.push_back({item, relevance_of(item, options_.full_match_relevance)});
+  hits->reserve(matches->size());
+  for (ItemId item : *matches) {
+    const double r = relevance_of(item, options_.full_match_relevance);
+    if (r >= floor) hits->push_back({item, r});
   }
+  const size_t full_hits = hits->size();
 
   // Near-misses: items matching all conjuncts but one (multi-conjunct
-  // queries only) — the low-relevance tail the preprocessing trims.
-  if (query.conjuncts.size() >= 2) {
-    std::vector<char> is_full(0);
+  // queries only) — the low-relevance tail the preprocessing trims. None
+  // scores above the bound, so a floor over it skips the whole tail.
+  const double near_miss_bound =
+      std::clamp(options_.partial_match_relevance + std::abs(options_.noise) +
+                     kPhrasingNoise,
+                 0.0, 1.0);
+  if (query.conjuncts.size() >= 2 && near_miss_bound >= floor) {
     for (size_t skip = 0; skip < query.conjuncts.size(); ++skip) {
       std::vector<ItemId> partial;
       bool first = true;
@@ -162,15 +190,17 @@ std::vector<SearchEngine::Hit> SearchEngine::Search(const Query& query) const {
       const auto& [sattr, svalue] = query.conjuncts[skip];
       for (ItemId item : partial) {
         if (catalog_->value(item, sattr) == svalue) continue;  // Full match.
-        hits.push_back(
-            {item, relevance_of(item, options_.partial_match_relevance)});
+        const double r =
+            relevance_of(item, options_.partial_match_relevance);
+        if (r >= floor) hits->push_back({item, r});
       }
     }
   }
 
   // Mislabeled injections: a few unrelated items scored high enough to
   // survive thresholding (deterministic per query *intent* — the engine
-  // misclassifies the product, not the phrasing).
+  // misclassifies the product, not the phrasing). The stream is drawn in
+  // full whatever the floor.
   {
     Rng rng(Mix(base_key, 0xBADCAB1Eu));
     const double expected = options_.mislabel_per_query;
@@ -179,43 +209,48 @@ std::vector<SearchEngine::Hit> SearchEngine::Search(const Query& query) const {
     for (size_t i = 0; i < count && catalog_->num_items() > 0; ++i) {
       const ItemId item =
           static_cast<ItemId>(rng.NextBelow(catalog_->num_items()));
-      hits.push_back({item, 0.82 + 0.15 * rng.NextDouble()});
+      const double r = 0.82 + 0.15 * rng.NextDouble();
+      if (r >= floor) hits->push_back({item, r});
     }
   }
+  return full_hits;
+}
 
+std::vector<SearchEngine::Hit> SearchEngine::Search(const Query& query) const {
+  std::vector<Hit> hits;
+  CollectHits(query, 0.0, &hits);
   // Dedup by item (keep max relevance), sort by relevance desc, truncate.
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    if (a.item != b.item) return a.item < b.item;
-    return a.relevance > b.relevance;
-  });
-  hits.erase(std::unique(hits.begin(), hits.end(),
-                         [](const Hit& a, const Hit& b) {
-                           return a.item == b.item;
-                         }),
-             hits.end());
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    if (a.relevance != b.relevance) return a.relevance > b.relevance;
-    return a.item < b.item;
-  });
+  std::sort(hits.begin(), hits.end(), ItemThenRelevance);
+  hits.erase(std::unique(hits.begin(), hits.end(), SameItem), hits.end());
+  std::sort(hits.begin(), hits.end(), RanksAbove);
   if (hits.size() > options_.top_k) hits.resize(options_.top_k);
   return hits;
 }
 
-Result<std::vector<SearchEngine::Hit>> SearchEngine::TrySearch(
-    const Query& query) const {
-  OCT_RETURN_NOT_OK(ValidateQuery(query));
-  return Search(query);
-}
-
 ItemSet SearchEngine::ResultSet(const Query& query,
                                 double relevance_threshold) const {
-  const std::vector<Hit> hits = Search(query);
+  std::vector<Hit> hits;
+  const size_t full_hits = CollectHits(query, relevance_threshold, &hits);
+  // Dedup, keeping each item's max relevance. The full-match run is
+  // item-sorted and duplicate-free; only the tail is sorted, then merged.
+  const auto tail = hits.begin() + full_hits;
+  if (tail != hits.end()) {
+    std::sort(tail, hits.end(), ItemThenRelevance);
+    std::inplace_merge(hits.begin(), tail, hits.end(), ItemThenRelevance);
+    hits.erase(std::unique(hits.begin(), hits.end(), SameItem), hits.end());
+  }
+  // Top-k by (relevance desc, item asc), as Search truncates.
+  const bool truncated = hits.size() > options_.top_k;
+  if (truncated) {
+    std::nth_element(hits.begin(), hits.begin() + options_.top_k, hits.end(),
+                     RanksAbove);
+    hits.resize(options_.top_k);
+  }
   std::vector<ItemId> items;
   items.reserve(hits.size());
-  for (const Hit& h : hits) {
-    if (h.relevance >= relevance_threshold) items.push_back(h.item);
-  }
-  return ItemSet(std::move(items));
+  for (const Hit& h : hits) items.push_back(h.item);
+  if (truncated) std::sort(items.begin(), items.end());
+  return ItemSet::FromSorted(std::move(items));
 }
 
 Result<ItemSet> SearchEngine::TryResultSet(const Query& query,

@@ -43,12 +43,18 @@ struct Query {
   uint64_t BaseKey() const;
 };
 
+/// Relevance model. An item's relevance is its match class's mean plus
+/// intent noise in [-|noise|, |noise|) plus phrasing noise in
+/// [-0.004, 0.004), clamped to [0, 1]; mislabeled injections score in
+/// [0.82, 0.97). So a near-miss never scores above
+/// partial_match_relevance + |noise| + 0.004 (0.614 with the defaults),
+/// below both thresholds of Section 5.1.
 struct SearchOptions {
   /// Mean relevance of items matching every conjunct.
   double full_match_relevance = 0.93;
   /// Mean relevance of items matching all conjuncts but one.
   double partial_match_relevance = 0.55;
-  /// Relevance noise amplitude.
+  /// Relevance noise amplitude (intent noise, shared by paraphrases).
   double noise = 0.06;
   /// Expected number of unrelated high-relevance items injected per query
   /// (search-engine misclassification surviving the threshold).
@@ -72,21 +78,28 @@ class SearchEngine {
   /// conjunct, every (attr, value) within schema bounds.
   Status ValidateQuery(const Query& query) const;
 
-  /// Hits sorted by descending relevance, truncated to top_k.
-  /// Precondition: ValidateQuery(query).ok() — aborts otherwise; callers
-  /// with untrusted queries use TrySearch.
+  /// Every hit (one per item, at its highest relevance) sorted by
+  /// descending relevance, ties by ascending item, truncated to top_k.
+  /// The reference ResultSet is checked against.
+  /// Precondition: ValidateQuery(query).ok() — aborts otherwise.
   std::vector<Hit> Search(const Query& query) const;
+
+  /// R(q): the items of Search(query) with relevance >= threshold
+  /// (Section 5.1 "Computing result sets"; 0.8 for Jaccard/F1 runs, 0.9
+  /// for Perfect-Recall/Exact), without ranking hits below the threshold.
+  /// When the threshold exceeds the near-miss bound (see SearchOptions)
+  /// the near-miss tail is not enumerated at all. The set is still exact:
+  /// (1) no near-miss could reach it; (2) top_k ranks by relevance first,
+  /// so every hit at or above the threshold outranks every hit below it
+  /// and dropping the latter never changes which survive top_k; (3) an
+  /// item's highest relevance clears the threshold exactly when one of its
+  /// hits does.
+  /// Precondition: ValidateQuery(query).ok() — aborts otherwise; callers
+  /// with untrusted queries use TryResultSet.
+  ItemSet ResultSet(const Query& query, double relevance_threshold) const;
 
   /// Validating variant: InvalidArgument instead of aborting on a
   /// malformed query (replayed logs, external callers).
-  Result<std::vector<Hit>> TrySearch(const Query& query) const;
-
-  /// Items with relevance >= threshold (Section 5.1 "Computing result
-  /// sets"; 0.8 for Jaccard/F1 runs, 0.9 for Perfect-Recall/Exact).
-  /// Precondition: ValidateQuery(query).ok().
-  ItemSet ResultSet(const Query& query, double relevance_threshold) const;
-
-  /// Validating variant of ResultSet.
   Result<ItemSet> TryResultSet(const Query& query,
                                double relevance_threshold) const;
 
@@ -94,6 +107,13 @@ class SearchEngine {
   const SearchOptions& options() const { return options_; }
 
  private:
+  /// Appends the hits with relevance >= floor: full matches (in ascending
+  /// item order, without duplicates), then near-misses and mislabeled
+  /// injections, duplicates included. Returns the number of full-match
+  /// hits appended.
+  size_t CollectHits(const Query& query, double floor,
+                     std::vector<Hit>* hits) const;
+
   const Catalog* catalog_;
   SearchOptions options_;
   /// postings_[attr][value] = sorted items having that value.

@@ -1,6 +1,7 @@
 #include "fault/failpoint.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
@@ -125,6 +126,10 @@ Status FailPoint::EvaluateArmed() {
       return Status::OK();
     case FailAction::kCrash:
       OCT_LOG_ERROR << "failpoint " << name_ << " crashing process";
+      // Output printed before the crash survives a redirect. Nothing else
+      // is flushed: file data a real crash would lose is lost here too.
+      std::fflush(stdout);
+      std::fflush(stderr);
       std::abort();
   }
   return Status::OK();

@@ -127,6 +127,108 @@ TEST(SearchEngine, TopKTruncation) {
   EXPECT_LE(engine.Search(q).size(), 25u);
 }
 
+// The R(q) oracle: ResultSet(q, t) is exactly the items Search(q) scores
+// at or above t, on both schemas and every logged query, for thresholds on
+// both sides of the default near-miss bound (0.614), top_k that truncates
+// hard, by default, and not at all, and an option set whose near-miss bound
+// (0.904) lies between the production thresholds. On the 40-item catalog
+// injections often hit matched items, so an item must rank at its highest
+// relevance for top_k to cut in the same place.
+TEST(SearchEngine, ResultSetMatchesThresholdedSearch) {
+  SearchOptions perturbed;
+  perturbed.noise = 0.2;
+  perturbed.partial_match_relevance = 0.7;
+  perturbed.mislabel_per_query = 3.3;
+  const double kThresholds[] = {0, 0.55, 0.613, 0.614, 0.615, 0.8, 0.9, 0.95};
+  const std::pair<bool, size_t> kCatalogs[] = {
+      {false, 2000}, {true, 2000}, {false, 40}};
+  size_t truncated = 0;
+  for (const auto& [electronics, num_items] : kCatalogs) {
+    const Catalog catalog = Catalog::Generate(
+        electronics ? ElectronicsSchema() : FashionSchema(), num_items, 37);
+    QueryLogOptions lopt;
+    lopt.num_queries = 120;
+    lopt.seed = 11;
+    const auto log = GenerateQueryLog(catalog, lopt);
+    for (SearchOptions options : {SearchOptions{}, perturbed}) {
+      for (const size_t top_k :
+           {size_t{5}, SearchOptions{}.top_k, catalog.num_items() + 1}) {
+        options.top_k = top_k;
+        const SearchEngine engine(&catalog, options);
+        for (const LoggedQuery& lq : log) {
+          const auto hits = engine.Search(lq.query);
+          if (hits.size() == top_k) ++truncated;
+          for (const double t : kThresholds) {
+            std::vector<ItemId> expected;
+            for (const auto& h : hits) {
+              if (h.relevance >= t) expected.push_back(h.item);
+            }
+            ASSERT_EQ(engine.ResultSet(lq.query, t),
+                      ItemSet(std::move(expected)))
+                << lq.query.Text(catalog) << " t=" << t << " top_k=" << top_k
+                << " noise=" << options.noise;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u);  // Some cases really did cut at top_k.
+}
+
+/// FNV-1a over the eight bytes of `word`.
+uint64_t DigestAdd(uint64_t digest, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (word >> (8 * i)) & 0xFF;
+    digest *= 0x100000001B3ULL;
+  }
+  return digest;
+}
+
+// Pinned R(q) and Search output over fixed catalogs and logs, so a change
+// to how result sets are computed must reproduce them bit for bit.
+TEST(SearchEngine, ResultSetsMatchPinnedDigests) {
+  struct Pinned {
+    bool electronics;
+    uint64_t search;  // Ranked item order of every Search.
+    uint64_t at_08;   // Every ResultSet at 0.8.
+    uint64_t at_09;   // Every ResultSet at 0.9.
+  };
+  const Pinned kPinned[] = {
+      {false, 0xab0fca2bcb48469bULL, 0x993910bd56104160ULL,
+       0x548d2c5c4ab4e6b0ULL},
+      {true, 0xdbe9e9a1d4b3cb07ULL, 0xe99869ff160540f8ULL,
+       0x48a93482568a614eULL},
+  };
+  for (const Pinned& pinned : kPinned) {
+    const Catalog catalog = Catalog::Generate(
+        pinned.electronics ? ElectronicsSchema() : FashionSchema(), 3000, 41);
+    QueryLogOptions lopt;
+    lopt.num_queries = 300;
+    lopt.seed = 13;
+    const auto log = GenerateQueryLog(catalog, lopt);
+    SearchOptions options;
+    options.seed = 5;
+    const SearchEngine engine(&catalog, options);
+    uint64_t search = 0xCBF29CE484222325ULL;
+    uint64_t at_08 = search;
+    uint64_t at_09 = search;
+    for (const LoggedQuery& lq : log) {
+      const auto hits = engine.Search(lq.query);
+      search = DigestAdd(search, hits.size());
+      for (const auto& h : hits) search = DigestAdd(search, h.item);
+      for (auto [threshold, digest] :
+           {std::pair{0.8, &at_08}, std::pair{0.9, &at_09}}) {
+        const ItemSet result = engine.ResultSet(lq.query, threshold);
+        *digest = DigestAdd(*digest, result.size());
+        for (ItemId item : result) *digest = DigestAdd(*digest, item);
+      }
+    }
+    EXPECT_EQ(search, pinned.search) << std::hex << "0x" << search;
+    EXPECT_EQ(at_08, pinned.at_08) << std::hex << "0x" << at_08;
+    EXPECT_EQ(at_09, pinned.at_09) << std::hex << "0x" << at_09;
+  }
+}
+
 TEST(QueryText, OrdersTypeLast) {
   const Catalog c = Catalog::Generate(FashionSchema(), 10, 3);
   Query q;

@@ -10,11 +10,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cct/cct.h"
+#include "crash_harness.h"
 #include "ctcr/ctcr.h"
 #include "data/datasets.h"
 #include "fault/cancel.h"
@@ -222,6 +225,38 @@ TEST_F(FaultTest, MacroEvaluatesNamedSite) {
       FailPointRegistry::Default()->Arm("test.macro", "error").ok());
   EXPECT_EQ(OCT_FAILPOINT("test.macro").code(), StatusCode::kInternal);
 }
+
+#ifdef OCT_CRASH_HARNESS
+// A crash rehearsal must not swallow what the process printed: stdout
+// redirected to a file is block-buffered, and the crash action flushes it
+// before aborting.
+TEST_F(FaultTest, CrashActionFlushesBufferedStdout) {
+  const std::string path = ::testing::TempDir() + "oct_crash_stdout.txt";
+  std::remove(path.c_str());
+  std::fflush(stdout);  // The child must not inherit gtest's pending output.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (std::freopen(path.c_str(), "w", stdout) == nullptr) _exit(2);
+    static char buffer[BUFSIZ];
+    if (std::setvbuf(stdout, buffer, _IOFBF, sizeof(buffer)) != 0) _exit(3);
+    std::printf("before the crash");  // No newline: stays buffered.
+    FailPointRegistry* reg = FailPointRegistry::Default();
+    if (!reg->Arm("test.crash", "crash").ok()) _exit(4);
+    (void)reg->Get("test.crash")->Evaluate();
+    _exit(5);  // Unreachable: the failpoint aborts.
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exit status " << wstatus;
+  EXPECT_EQ(WTERMSIG(wstatus), SIGABRT);
+  std::ifstream in(path);
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(contents, "before the crash");
+  std::remove(path.c_str());
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // CancelToken.

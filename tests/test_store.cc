@@ -11,6 +11,7 @@
 
 #include "core/category_tree.h"
 #include "core/serialization.h"
+#include "crash_harness.h"
 #include "fault/failpoint.h"
 #include "obs/export.h"
 #include "serve/exposition.h"
@@ -20,24 +21,6 @@
 #include "store/version_log.h"
 #include "util/rng.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#define OCT_STORE_HAVE_FORK 1
-#endif
-
-// Sanitizer runtimes do not survive fork + SIGKILL/abort harnesses well
-// (TSan deadlocks in multi-threaded fork children; dying children leak by
-// design), so the crash harness runs only in plain builds.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define OCT_STORE_NO_FORK 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define OCT_STORE_NO_FORK 1
-#endif
-#endif
 
 namespace oct {
 namespace store {
@@ -641,10 +624,10 @@ TEST_F(ReplicaTest, RecordsShipOverExpositionTransport) {
 
 // ---------------------------------------------------------------------------
 // Crash harness: fork, die mid-commit, assert the recovery invariant from
-// the parent. Plain builds only (see OCT_STORE_NO_FORK above).
+// the parent. Plain builds only (see crash_harness.h).
 // ---------------------------------------------------------------------------
 
-#if defined(OCT_STORE_HAVE_FORK) && !defined(OCT_STORE_NO_FORK)
+#ifdef OCT_CRASH_HARNESS
 
 class CrashHarnessTest : public ::testing::Test {
  protected:
@@ -770,7 +753,7 @@ TEST_F(CrashHarnessTest, AbortBeforeManifestRenameKeepsPreviousVersion) {
   EXPECT_EQ(Canon((*log)->OpenLatest().value()), Canon(TreeForRound(1)));
 }
 
-#endif  // OCT_STORE_HAVE_FORK && !OCT_STORE_NO_FORK
+#endif  // OCT_CRASH_HARNESS
 
 }  // namespace
 }  // namespace store
