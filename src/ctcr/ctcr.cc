@@ -64,6 +64,17 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
       obs::MetricsRegistry::Default()->GetHistogram("ctcr.mis_us");
   static obs::Histogram* build_us =
       obs::MetricsRegistry::Default()->GetHistogram("ctcr.build_us");
+  // The construct passes of build_us, one histogram each.
+  static obs::Histogram* place_us =
+      obs::MetricsRegistry::Default()->GetHistogram("ctcr.place_us");
+  static obs::Histogram* assign_us =
+      obs::MetricsRegistry::Default()->GetHistogram("ctcr.assign_us");
+  static obs::Histogram* intermediates_us =
+      obs::MetricsRegistry::Default()->GetHistogram("ctcr.intermediates_us");
+  static obs::Histogram* condense_us =
+      obs::MetricsRegistry::Default()->GetHistogram("ctcr.condense_us");
+  static obs::Histogram* finish_us =
+      obs::MetricsRegistry::Default()->GetHistogram("ctcr.finish_us");
   runs->Increment();
   static obs::Counter* deadline_hits =
       obs::MetricsRegistry::Default()->GetCounter("ctcr.deadline_exceeded");
@@ -133,16 +144,21 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   result.seconds_mis = timer.ElapsedSeconds();
   mis_us->Record(result.seconds_mis * 1e6);
 
-  // Lines 11-15: one category per surviving set; parent = the closest (max
-  // rank) must-cover-together predecessor already in the tree.
+  // Lines 11-26: construct the tree, one child span and ctcr.*_us
+  // histogram per pass.
   timer.Reset();
   OCT_SPAN("ctcr/construct_tree");
+  CategoryTree& tree = result.tree;
+  std::vector<NodeId> cat_of(n, kInvalidNode);
+  {
+  OCT_SPAN("ctcr/place");
+  Timer pass;
+  // Lines 11-15: one category per surviving set; parent = the closest (max
+  // rank) must-cover-together predecessor already in the tree.
   std::sort(independent.begin(), independent.end(), [&](SetId a, SetId b) {
     return result.analysis.rank[a] < result.analysis.rank[b];
   });
   result.independent_set = independent;
-  CategoryTree& tree = result.tree;
-  std::vector<NodeId> cat_of(n, kInvalidNode);
   std::vector<char> in_s(n, 0);
   for (SetId q : independent) in_s[q] = 1;
   for (SetId q : independent) {
@@ -235,13 +251,18 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
       for (NodeId head : chain_heads) tree.AssignItem(head, item);
     }
   }
+  place_us->Record(pass.ElapsedSeconds() * 1e6);
+  }
 
   // Line 20: Algorithm 2 (Jaccard / F1 variants only).
   if (UsesItemAssignment(sim)) {
+    OCT_SPAN("ctcr/assign_items");
+    Timer pass;
     AssignItemsOptions assign;
     assign.target_sets = independent;
     assign.cat_of = cat_of;
     result.assignment = AssignItems(input, sim, assign, &tree);
+    assign_us->Record(pass.ElapsedSeconds() * 1e6);
   }
 
   // Lines 21-25 are refinement passes: they improve the tree but the model
@@ -252,21 +273,32 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   // Lines 21-23: intermediate categories (recombine partitioned sets).
   if (!out_of_budget && options.add_intermediate_categories && general &&
       UsesItemAssignment(sim)) {
+    OCT_SPAN("ctcr/intermediates");
+    Timer pass;
     result.intermediates_added = AddIntermediateCategories(input, &tree);
+    intermediates_us->Record(pass.ElapsedSeconds() * 1e6);
   }
 
   // Lines 24-25: condense (thresholds below 1 only).
   const NodeId exclude_cover =
       options.root_cover_candidate ? kInvalidNode : tree.root();
   if (!out_of_budget && options.condense && general) {
+    OCT_SPAN("ctcr/condense");
+    Timer pass;
     CondenseTree(input, sim, &tree, /*protect=*/{}, exclude_cover);
+    condense_us->Record(pass.ElapsedSeconds() * 1e6);
   }
 
   // Line 26: misc category with every unassigned item. Runs unless the
   // caller is building a per-component subtree (oct::delta) and will add
   // the universe-wide misc category once on the spliced tree instead.
-  if (options.add_misc_category) AddMiscCategory(input, &tree);
-  AnnotateCoveredSets(input, sim, &tree, exclude_cover);
+  {
+    OCT_SPAN("ctcr/finish");
+    Timer pass;
+    if (options.add_misc_category) AddMiscCategory(input, &tree);
+    AnnotateCoveredSets(input, sim, &tree, exclude_cover);
+    finish_us->Record(pass.ElapsedSeconds() * 1e6);
+  }
   result.seconds_build = timer.ElapsedSeconds();
   build_us->Record(result.seconds_build * 1e6);
   if (result.status.ok() && fault::Cancelled(options.cancel)) {

@@ -30,6 +30,15 @@ uint64_t MixHash(uint64_t h, uint64_t v) {
   return h;
 }
 
+/// One-worker pool shared by every component and plain build in the
+/// process: ParallelFor on it always runs inline on the calling thread, so
+/// concurrent builds stay independent and deterministic, and no build
+/// spawns (and joins) a thread of its own.
+ThreadPool* SerialPool() {
+  static ThreadPool* pool = new ThreadPool(1);
+  return pool;
+}
+
 void AppendCanon(const CategoryTree& tree, NodeId id, std::string* out) {
   std::vector<std::string> children;
   children.reserve(tree.node(id).children.size());
@@ -77,24 +86,33 @@ std::shared_ptr<DeltaBuilder::ComponentResult> DeltaBuilder::BuildComponent(
   Timer timer;
   auto result = std::make_shared<ComponentResult>();
 
-  // Normalize to a component-local universe so the local input — and hence
-  // the build — is a pure function of component content. That is what
-  // makes cached subtrees bit-compatible with a later fresh rebuild even
-  // after the global universe has grown.
-  size_t universe = 0;
+  // Renumber the component's items densely into a local universe 0..k-1,
+  // in ascending global order, so the local input — and hence the build —
+  // is a pure function of component content, and no pass of the build
+  // scales with the global universe. That purity is what makes cached
+  // subtrees bit-compatible with a later fresh rebuild even after the
+  // global universe has grown; keeping the item order keeps every
+  // item-ordered tie-break of the build. GraftComponent maps back.
+  std::vector<ItemId>& items = result->items;
   for (uint32_t slot : slots) {
-    const ItemSet& items = working_.set(slot).items;
-    if (!items.empty()) {
-      universe = std::max(universe,
-                          static_cast<size_t>(*std::prev(items.end())) + 1);
-    }
+    const ItemSet& set_items = working_.set(slot).items;
+    items.insert(items.end(), set_items.begin(), set_items.end());
   }
-  OctInput local(universe);
-  for (uint32_t slot : slots) local.Add(working_.set(slot));
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  OctInput local(items.size());
+  for (uint32_t slot : slots) {
+    CandidateSet set = working_.set(slot);
+    std::vector<ItemId> local_ids;
+    local_ids.reserve(set.items.size());
+    for (ItemId item : set.items) {
+      local_ids.push_back(static_cast<ItemId>(
+          std::lower_bound(items.begin(), items.end(), item) - items.begin()));
+    }
+    set.items = ItemSet::FromSorted(std::move(local_ids));
+    local.Add(std::move(set));
+  }
 
-  // One-worker pool: ParallelFor runs inline on the calling thread, so
-  // concurrent component builds stay independent and deterministic.
-  //
   // Condense runs here, component-locally, so cached subtrees arrive at
   // the splice fully refined and the splice itself stays O(tree copy) —
   // but with root_cover_candidate off: condense keeps a category only when
@@ -105,13 +123,12 @@ std::shared_ptr<DeltaBuilder::ComponentResult> DeltaBuilder::BuildComponent(
   // top-level categories. Barring the local root restores the batch
   // pipeline's choices for every set except one that spans most of the
   // whole universe (the epsilon score anchor absorbs that corner).
-  ThreadPool serial(1);
   if (options_.algorithm == DeltaBuilderOptions::Algorithm::kCct) {
     cct::CctOptions opts;
     opts.condense = options_.condense;
     opts.root_cover_candidate = false;
     opts.add_misc_category = false;
-    opts.pool = &serial;
+    opts.pool = SerialPool();
     cct::CctResult built = cct::BuildCategoryTree(local, sim_, opts);
     result->local_tree = std::move(built.tree);
     result->status = std::move(built.status);
@@ -121,7 +138,7 @@ std::shared_ptr<DeltaBuilder::ComponentResult> DeltaBuilder::BuildComponent(
     opts.condense = options_.condense;
     opts.root_cover_candidate = false;
     opts.add_misc_category = false;
-    opts.pool = &serial;
+    opts.pool = SerialPool();
     ctcr::CtcrResult built = ctcr::BuildCategoryTree(local, sim_, opts);
     result->local_tree = std::move(built.tree);
     result->status = std::move(built.status);
@@ -146,9 +163,18 @@ void DeltaBuilder::GraftComponent(const ComponentResult& component,
   // The local root corresponds to the global root: merge its direct items
   // (condensing can push items up to it) and covered sets, then graft its
   // children as new top-level subtrees, preserving child order.
+  // Local item ids are ranks in component.items, so mapping back keeps
+  // every item set sorted.
+  auto remap_items = [&](const ItemSet& local_items) {
+    std::vector<ItemId> global;
+    global.reserve(local_items.size());
+    for (ItemId item : local_items) global.push_back(component.items[item]);
+    return ItemSet::FromSorted(std::move(global));
+  };
+
   const CategoryNode& local_root = local.node(local.root());
   for (ItemId item : local_root.direct_items) {
-    tree->AssignItem(tree->root(), item);
+    tree->AssignItem(tree->root(), component.items[item]);
   }
   for (SetId covered : local_root.covered_sets) {
     const SetId mapped = remap_set(covered);
@@ -173,7 +199,7 @@ void DeltaBuilder::GraftComponent(const ComponentResult& component,
     const NodeId id = tree->AddCategory(frame.parent, source.label,
                                         remap_set(source.source_set));
     CategoryNode& added = tree->mutable_node(id);
-    added.direct_items = source.direct_items;
+    added.direct_items = remap_items(source.direct_items);
     added.covered_sets.reserve(source.covered_sets.size());
     for (SetId covered : source.covered_sets) {
       const SetId mapped = remap_set(covered);
@@ -371,17 +397,16 @@ Result<DeltaApplyOutcome> DeltaBuilder::FullRebuild() {
 
 CategoryTree DeltaBuilder::PlainTree() const {
   const OctInput cumulative = CumulativeInput();
-  ThreadPool serial(1);
   if (options_.algorithm == DeltaBuilderOptions::Algorithm::kCct) {
     cct::CctOptions opts;
     opts.condense = options_.condense;
-    opts.pool = &serial;
+    opts.pool = SerialPool();
     return cct::BuildCategoryTree(cumulative, sim_, opts).tree;
   }
   ctcr::CtcrOptions opts;
   opts.add_intermediate_categories = options_.add_intermediate_categories;
   opts.condense = options_.condense;
-  opts.pool = &serial;
+  opts.pool = SerialPool();
   return ctcr::BuildCategoryTree(cumulative, sim_, opts).tree;
 }
 

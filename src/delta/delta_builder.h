@@ -142,9 +142,12 @@ class DeltaBuilder {
  private:
   struct ComponentResult {
     /// Locally-built subtree; source_set / covered_sets hold *local* ids
-    /// (positions in `slots`), remapped at splice time.
+    /// (positions in `slots`) and direct items local item ids (positions
+    /// in `items`), both remapped at splice time.
     CategoryTree local_tree;
     std::vector<uint32_t> slots;
+    /// Local -> global item id: the component's items, ascending.
+    std::vector<ItemId> items;
     /// Build status (OK, kDeadlineExceeded, or an injected build error).
     Status status = Status::OK();
     uint64_t last_used_batch = 0;
@@ -159,7 +162,8 @@ class DeltaBuilder {
   Status ResolveAndSplice(const WorkingSet::Components& components,
                           bool bypass_cache, DeltaApplyOutcome* outcome);
   /// Grafts one component subtree under `tree`'s root, remapping set ids
-  /// from local positions to cumulative-input indices.
+  /// from local positions to cumulative-input indices and item ids from
+  /// the component's local universe to global ids.
   static void GraftComponent(const ComponentResult& component,
                              const std::vector<uint32_t>& slot_to_index,
                              CategoryTree* tree);

@@ -488,6 +488,89 @@ TEST(DeltaBuilder, RandomizedOpStreamStaysEquivalent) {
   }
 }
 
+/// FNV-1a of `text`, folded into `digest`.
+uint64_t DigestAdd(uint64_t digest, const std::string& text) {
+  for (unsigned char ch : text) {
+    digest ^= ch;
+    digest *= 0x100000001B3ULL;
+  }
+  return digest;
+}
+
+// Pinned canonical trees over a seeded op stream whose items are sparse,
+// high global ids: component builds run on dense local item ids, and the
+// trees they splice, rebuild and batch-build must not change because of it.
+TEST(DeltaBuilder, OpStreamTreesMatchPinnedDigests) {
+  struct Pinned {
+    DeltaBuilderOptions::Algorithm algorithm;
+    uint64_t digest;
+  };
+  const Pinned kPinned[] = {
+      {DeltaBuilderOptions::Algorithm::kCtcr, 0xfe028bf24c9de556ULL},
+      {DeltaBuilderOptions::Algorithm::kCct, 0x50cda319fabace65ULL},
+  };
+  const Similarity sim(Variant::kJaccardThreshold, 0.6);
+  for (const Pinned& pinned : kPinned) {
+    DeltaBuilderOptions options;
+    options.algorithm = pinned.algorithm;
+    options.max_dirty_fraction = 0.5;
+    options.universe_floor = 9000;
+    DeltaBuilder builder(sim, options);
+    Rng rng(29);
+    auto random_items = [&rng] {
+      // Six item clusters, far apart, each a comb of every third id.
+      const ItemId base = ItemId(1000 * rng.NextBelow(6) + 37);
+      std::vector<ItemId> items;
+      for (int j = 0; j < 3 + int(rng.NextBelow(6)); ++j) {
+        items.push_back(base + ItemId(3 * rng.NextBelow(12)));
+      }
+      return items;
+    };
+    std::vector<std::string> labels;
+    uint64_t digest = 0xCBF29CE484222325ULL;
+    for (int round = 0; round < 12; ++round) {
+      std::vector<DeltaOp> ops;
+      const int num_ops = round == 0 ? 24 : 1 + int(rng.NextBelow(4));
+      for (int k = 0; k < num_ops; ++k) {
+        const uint64_t dice = rng.NextBelow(10);
+        DeltaOp op;
+        if (dice < 6 || labels.empty()) {  // New query.
+          const std::string label = "q" + std::to_string(labels.size());
+          labels.push_back(label);
+          op.kind = DeltaOp::Kind::kUpsertQuery;
+          op.key = Key(label);
+          op.set = MakeSet(label, random_items(),
+                           1.0 + double(rng.NextBelow(3)));
+        } else if (dice < 8) {  // Re-resolve an existing query.
+          const std::string& label = labels[rng.NextBelow(labels.size())];
+          op.kind = DeltaOp::Kind::kUpsertQuery;
+          op.key = Key(label);
+          op.set = MakeSet(label, random_items());
+        } else if (dice < 9) {
+          op.kind = DeltaOp::Kind::kRemoveQuery;
+          op.key = Key(labels[rng.NextBelow(labels.size())]);
+        } else {
+          op.kind = DeltaOp::Kind::kRemoveItem;
+          op.item = ItemId(1000 * rng.NextBelow(6) + 37 +
+                           3 * rng.NextBelow(12));
+        }
+        ops.push_back(std::move(op));
+      }
+      Result<DeltaApplyOutcome> outcome = builder.ApplyBatch(BatchOf(ops));
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      digest = DigestAdd(digest,
+                         DeltaBuilder::CanonicalTreeString(outcome.value().tree));
+    }
+    Result<DeltaApplyOutcome> full = builder.FullRebuild();
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    digest = DigestAdd(digest,
+                       DeltaBuilder::CanonicalTreeString(full.value().tree));
+    digest = DigestAdd(digest,
+                       DeltaBuilder::CanonicalTreeString(builder.PlainTree()));
+    EXPECT_EQ(digest, pinned.digest) << std::hex << "0x" << digest;
+  }
+}
+
 TEST(WorkingSet, RemoveItemStormScrubsEveryPosting) {
   // Catalog-side churn storm: mostly RemoveItem ops against a small item
   // universe, interleaved with enough upserts to keep refilling it. After

@@ -3,8 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/scoring.h"
+#include "core/serialization.h"
 #include "core/tree_ops.h"
+#include "ctcr/ctcr.h"
+#include "data/datasets.h"
+#include "reference_tree_ops.h"
+#include "util/rng.h"
 
 namespace oct {
 namespace {
@@ -69,6 +77,134 @@ TEST(Intermediates, CascadesUntilBinaryOrDisjoint) {
   EXPECT_GE(added, 2u);
   EXPECT_LE(tree.node(tree.root()).children.size(), 2u);
   EXPECT_TRUE(tree.ValidateStructure().ok());
+}
+
+/// A tree for AddIntermediateCategories and the input its source sets
+/// point into.
+struct MergeCase {
+  OctInput input;
+  CategoryTree tree;
+};
+
+/// Shape knobs of one random case: how many children the root and a
+/// nested parent get, how deep the nesting goes, and the universe and set
+/// sizes (small ones make many pairs tie on their shared fraction).
+struct MergeShape {
+  size_t root_children[2];    // [min, max]
+  size_t nested_children[2];  // [min, max]
+  int depth;
+  size_t universe;
+  size_t max_set_size;
+};
+
+ItemSet RandomItems(Rng* rng, const MergeShape& shape) {
+  std::vector<ItemId> items(1 + rng->NextBelow(shape.max_set_size));
+  for (ItemId& item : items) item = ItemId(rng->NextBelow(shape.universe));
+  return ItemSet(std::move(items));
+}
+
+/// Adds a random number of children under `parent`. Most carry a source
+/// set; the rest carry only direct items and possibly a subtree, so their
+/// associated set is their subtree's items (the ItemSetOf path), which may
+/// be empty.
+void AddRandomChildren(Rng* rng, const MergeShape& shape, int depth,
+                       NodeId parent, MergeCase* c) {
+  const size_t* range = depth == shape.depth ? shape.root_children
+                                             : shape.nested_children;
+  const size_t count = range[0] + rng->NextBelow(range[1] - range[0] + 1);
+  for (size_t k = 0; k < count; ++k) {
+    NodeId node;
+    if (rng->NextBernoulli(0.75)) {
+      const SetId s = c->input.Add(RandomItems(rng, shape), 1.0,
+                                   "q" + std::to_string(c->input.num_sets()));
+      node = c->tree.AddCategory(parent, c->input.set(s).label, s);
+    } else {
+      node = c->tree.AddCategory(parent,
+                                 "n" + std::to_string(c->tree.num_nodes()));
+      if (rng->NextBernoulli(0.8)) {
+        for (ItemId item : RandomItems(rng, shape)) {
+          c->tree.AssignItem(node, item);
+        }
+      }
+    }
+    if (depth > 0 && rng->NextBernoulli(0.3)) {
+      AddRandomChildren(rng, shape, depth - 1, node, c);
+    }
+  }
+}
+
+// The counting pass against the recompute-everything reference: same
+// return value and the same serialized tree (shape, child order, labels)
+// on random wide, nested and tie-heavy trees.
+TEST(Intermediates, MatchesReferenceOnRandomTrees) {
+  struct Family {
+    const char* name;
+    MergeShape shape;
+    int cases;
+  };
+  const Family kFamilies[] = {
+      {"wide", {{200, 260}, {3, 8}, 1, 2500, 16}, 5},
+      {"nested", {{3, 9}, {3, 9}, 3, 60, 8}, 300},
+      {"tie-heavy", {{3, 40}, {3, 6}, 1, 7, 3}, 300},
+  };
+  Rng rng(2022);
+  for (const Family& family : kFamilies) {
+    size_t total_added = 0;
+    for (int i = 0; i < family.cases; ++i) {
+      MergeCase c;
+      c.input = OctInput(family.shape.universe);
+      AddRandomChildren(&rng, family.shape, family.shape.depth,
+                        c.tree.root(), &c);
+      CategoryTree expected = c.tree;
+      const size_t want = reference::AddIntermediateCategories(c.input,
+                                                               &expected);
+      const size_t got = AddIntermediateCategories(c.input, &c.tree);
+      ASSERT_EQ(got, want) << family.name << " case " << i;
+      ASSERT_EQ(SerializeTree(c.tree), SerializeTree(expected))
+          << family.name << " case " << i;
+      total_added += got;
+    }
+    // Every family really merges (and so really exercises the pushes that
+    // follow a merge).
+    EXPECT_GT(total_added, size_t(family.cases)) << family.name;
+  }
+}
+
+/// FNV-1a over the bytes of `text`.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  for (unsigned char ch : text) {
+    digest ^= ch;
+    digest *= 0x100000001B3ULL;
+  }
+  return digest;
+}
+
+// Pinned CTCR trees on datasets A-C (threshold Jaccard 0.8): a change to
+// how intermediate categories are found must reproduce them byte for byte.
+TEST(Intermediates, CtcrTreesMatchPinnedDigests) {
+  struct Pinned {
+    char dataset;
+    double scale;
+    size_t intermediates;
+    uint64_t digest;  // FNV-1a of SerializeTree.
+  };
+  const Pinned kPinned[] = {
+      {'A', 0.08, 70, 0x1565e00f1f7b6751ULL},
+      {'B', 0.08, 90, 0xeb892ff7ff92a32fULL},
+      {'C', 0.08, 202, 0x214b561a48b8cafbULL},
+  };
+  const Similarity sim(Variant::kJaccardThreshold, 0.8);
+  for (const Pinned& pinned : kPinned) {
+    const data::Dataset ds = data::MakeDataset(pinned.dataset, sim,
+                                               pinned.scale);
+    const ctcr::CtcrResult built = ctcr::BuildCategoryTree(ds.input, sim);
+    const uint64_t digest = Fnv1a(SerializeTree(built.tree));
+    EXPECT_EQ(built.intermediates_added, pinned.intermediates)
+        << pinned.dataset;
+    EXPECT_EQ(digest, pinned.digest)
+        << pinned.dataset << std::hex << " 0x" << digest;
+  }
 }
 
 TEST(Condense, RemovesNonCoveringCategoryAndKeepsItems) {
