@@ -1,15 +1,9 @@
 // Router serving benchmark: a Zipf-weighted query mix from dataset B driven
-// through the batched Router in two load shapes.
+// through Router::Route, which resolves and scores on the calling thread.
 //
 //   1. Closed loop — N client threads, each blocking on Route(); sweeps the
-//      client count and reports routed qps + p50/p99 latency. The capacity
-//      the sweep finds seeds phase 2's offered rates.
-//   2. Open loop — Submit() at fixed offered rates straddling saturation;
-//      reports completion rate, shed rate, and the *maximum time a single
-//      Submit() call took*. Past saturation the router must shed (bounded
-//      queue, kResourceExhausted), never stall the submitting thread —
-//      that property is a hard failure, not a printout.
-//   3. Tracing overhead — the always-on trace-context propagation cost
+//      client count and reports routed qps + p50/p99 latency.
+//   2. Tracing overhead — the always-on trace-context propagation cost
 //      (mint + scope install + inactive spans + no-op finish) measured
 //      directly in ns/request, plus closed-loop means with and without a
 //      TailSampler installed. The propagation cost exceeding 3% of the
@@ -18,13 +12,15 @@
 //
 // Before any load, every ranking is checked against the serial single-query
 // oracle (RouteSerial) on >= 1000 sampled queries; any divergence is a hard
-// failure (exit 1). Batching is a latency optimization, never an answer
-// change.
+// failure (exit 1). Route() adds admission, accounting and tracing around
+// the same resolve and score, never an answer change. The router keeps no
+// queue of its own; the shed-never-stalls property of the serving path is
+// the exposition's bounded connection queue, checked in
+// tests/test_expose.cc.
 //
 //   $ ./build/bench/router_closed_loop
 //
 // Env knobs:
-//   OCT_ROUTER_WORKERS  worker threads (default 4)
 //   OCT_ROUTER_SECONDS  per-phase duration (default 0.4)
 //   OCT_ROUTER_ORACLE   oracle sample size (default 1000)
 //   OCT_ROUTER_STRICT   1 -> also hard-fail the throughput/latency targets
@@ -204,69 +200,9 @@ ClosedLoopResult RunClosedLoop(router::Router& router, const QueryMix& mix,
   return result;
 }
 
-struct OpenLoopResult {
-  double offered_qps = 0.0;
-  uint64_t offered = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  double seconds = 0.0;
-  double max_submit_us = 0.0;
-
-  double CompletedQps() const { return seconds > 0 ? completed / seconds : 0; }
-  double ShedRate() const {
-    return offered > 0 ? static_cast<double>(shed) / offered : 0;
-  }
-};
-
-OpenLoopResult RunOpenLoop(router::Router& router, const QueryMix& mix,
-                           double offered_qps, double seconds) {
-  OpenLoopResult result;
-  result.offered_qps = offered_qps;
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> shed{0};
-  Rng rng(4242);
-  const double interval = 1.0 / offered_qps;
-  Timer phase;
-  double next_send = 0.0;
-  while (phase.ElapsedSeconds() < seconds) {
-    const double now = phase.ElapsedSeconds();
-    if (now < next_send) {
-      // Open loop: the arrival process does not slow down with the server.
-      continue;
-    }
-    next_send += interval;
-    router::RouteRequest request;
-    request.query = mix.Draw(&rng);
-    ++result.offered;
-    Timer submit;
-    const Status admitted = router.Submit(
-        std::move(request), [&completed, &shed](router::RouteResult r) {
-          if (r.shed) {
-            shed.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            completed.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-    result.max_submit_us =
-        std::max(result.max_submit_us, submit.ElapsedSeconds() * 1e6);
-    if (!admitted.ok()) shed.fetch_add(1, std::memory_order_relaxed);
-  }
-  result.seconds = phase.ElapsedSeconds();
-  // Late answers beat dropped answers: wait for the queue to drain so the
-  // completed/shed split accounts for every offered request.
-  while (router.queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  result.completed = completed.load();
-  result.shed = shed.load();
-  return result;
-}
-
 }  // namespace
 
 int main() {
-  const size_t workers = std::max<size_t>(1, EnvSize("OCT_ROUTER_WORKERS", 4));
   const double seconds = EnvSeconds("OCT_ROUTER_SECONDS", 0.4);
   const size_t oracle_samples =
       std::max<size_t>(1000, EnvSize("OCT_ROUTER_ORACLE", 1000));
@@ -289,16 +225,14 @@ int main() {
               static_cast<unsigned long long>(boot.published_version),
               store.Current()->num_categories(), boot.seconds);
 
-  router::RouterOptions options;
-  options.num_workers = workers;
-  router::Router router(&store, ds.engine.get(), options);
+  router::Router router(&store, ds.engine.get());
   router.Start();
 
   const QueryMix mix = BuildMix(*ds.catalog, /*distinct=*/600);
-  std::printf("query mix: %zu distinct Zipf-weighted queries, %zu workers\n\n",
-              mix.queries.size(), workers);
+  std::printf("query mix: %zu distinct Zipf-weighted queries\n\n",
+              mix.queries.size());
 
-  // --- Hard gate 1: batched routing == serial oracle. --------------------
+  // --- Hard gate: Route() == serial oracle. -------------------------------
   {
     Rng rng(9001);
     size_t mismatches = 0;
@@ -307,13 +241,13 @@ int main() {
       router::RouteRequest request;
       request.query = mix.Draw(&rng);
       const router::RouteResult serial = router.RouteSerial(request);
-      const router::RouteResult batched = router.Route(std::move(request));
-      if (!SameRanking(serial, batched)) ++mismatches;
+      const router::RouteResult routed = router.Route(request);
+      if (!SameRanking(serial, routed)) ++mismatches;
     }
     std::printf("oracle check: %zu queries, %zu mismatches (%.3f s)\n",
                 oracle_samples, mismatches, oracle_timer.ElapsedSeconds());
     if (mismatches != 0) {
-      std::printf("FAIL: batched routing diverged from the serial oracle\n");
+      std::printf("FAIL: Route() diverged from the serial oracle\n");
       return 1;
     }
   }
@@ -344,26 +278,6 @@ int main() {
   std::printf("closed loop (%0.1f s per point):\n%s\n", seconds,
               closed.ToAligned().c_str());
 
-  // --- Open loop: offered-rate sweep through saturation. -----------------
-  // Rates straddle the measured closed-loop capacity so the table shows the
-  // shed-rate knee: ~0 below capacity, climbing past it.
-  TableWriter open({"offered qps", "offered", "completed", "shed",
-                    "shed rate", "max submit us"});
-  double max_submit_us = 0.0;
-  uint64_t shed_past_saturation = 0;
-  for (double factor : {0.5, 1.0, 2.0, 4.0}) {
-    const double rate = std::max(1000.0, peak_qps * factor);
-    const OpenLoopResult r = RunOpenLoop(router, mix, rate, seconds);
-    max_submit_us = std::max(max_submit_us, r.max_submit_us);
-    if (factor >= 2.0) shed_past_saturation += r.shed;
-    open.AddRow({TableWriter::Num(r.offered_qps, 0),
-                 std::to_string(r.offered), std::to_string(r.completed),
-                 std::to_string(r.shed), TableWriter::Num(r.ShedRate(), 3),
-                 TableWriter::Num(r.max_submit_us, 1)});
-  }
-  bench::BenchReport::Get().AddTable("router_open_loop", open);
-  std::printf("open loop (%0.1f s per point):\n%s\n", seconds,
-              open.ToAligned().c_str());
   std::printf("router stats: %s\n",
               router.stats().Snapshot().ToString().c_str());
 
@@ -413,25 +327,6 @@ int main() {
                 overhead_pct, propagation_ns, route_mean_us);
     return 1;
   }
-
-  // --- Hard gate 2: past saturation the router sheds, it never stalls the
-  // submitter. A Submit() that blocked for ~a second means the bounded
-  // queue failed at its one job. ------------------------------------------
-  if (max_submit_us > 1e6) {
-    std::printf("FAIL: a Submit() call stalled for %.0f us; admission must "
-                "shed, not block\n",
-                max_submit_us);
-    return 1;
-  }
-  if (shed_past_saturation == 0 && peak_qps > 0) {
-    std::printf("FAIL: no load was shed at 2-4x measured capacity; the "
-                "bounded queue is not bounding\n");
-    return 1;
-  }
-  std::printf("\nadmission held: max Submit() stall %.1f us; %llu requests "
-              "shed past saturation (never blocked)\n",
-              max_submit_us,
-              static_cast<unsigned long long>(shed_past_saturation));
 
   // --- Strict targets (opt-in; meaningful on a dedicated multi-core box).
   if (strict) {

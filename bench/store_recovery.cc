@@ -389,9 +389,7 @@ int Run() {
           }
         });
 
-    router::RouterOptions router_options;
-    router_options.num_workers = 4;
-    router::Router router(&tree_store, ds.engine.get(), router_options);
+    router::Router router(&tree_store, ds.engine.get());
     router.Start();
 
     const std::vector<data::Query> mix = BuildQueryMix(*ds.catalog);

@@ -73,15 +73,9 @@ int main() {
     obs::SetTracingEnabled(true);
   }
   // The query router: live user queries -> ranked category paths against
-  // whatever snapshot is current. Mounted on the exposition as /route.
-  router::RouterOptions router_options;
-  router_options.num_workers = 2;
-  const char* router_workers = std::getenv("OCT_ROUTER_WORKERS");
-  if (router_workers != nullptr) {
-    router_options.num_workers =
-        static_cast<size_t>(std::atoi(router_workers));
-  }
-  router::Router router(&store, ds.engine.get(), router_options);
+  // whatever snapshot is current. Mounted on the exposition as /route,
+  // where each request is routed on the HTTP worker that accepted it.
+  router::Router router(&store, ds.engine.get());
   router.Start();
 
   // Durable version log + two local replicas. Every publish below rides

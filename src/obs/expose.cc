@@ -336,11 +336,9 @@ std::string RenderSlowz(const SlowLog* log, size_t limit) {
     w.Key("query").String(e.query);
     w.Key("version").Uint(e.version);
     w.Key("total_us").Double(e.total_us);
-    w.Key("queue_us").Double(e.queue_us);
     w.Key("resolve_us").Double(e.resolve_us);
     w.Key("score_us").Double(e.score_us);
     w.Key("serialize_us").Double(e.serialize_us);
-    w.Key("deduped").Bool(e.deduped);
     w.Key("shed").Bool(e.shed);
     w.Key("degraded").Bool(e.degraded);
     w.Key("errored").Bool(e.errored);

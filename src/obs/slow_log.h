@@ -3,8 +3,7 @@
 // or errored. Each entry carries what an operator needs to act on a bad
 // request without replaying it: the query text, the tree version it was
 // scored against, its trace id (linking to /tracez?trace_id=), and the
-// per-stage latency breakdown (queue / dedup / index probe / score /
-// serialize, microseconds).
+// per-stage latency breakdown (resolve / score / serialize, microseconds).
 //
 // Promotion is rare by construction (the whole point of tail sampling), so
 // a single mutex suffices; the recording hot path never touches this —
@@ -37,11 +36,9 @@ struct SlowRequestEntry {
   double total_us = 0.0;
   /// Per-stage breakdown (microseconds). Stages a request never reached
   /// stay 0.
-  double queue_us = 0.0;
   double resolve_us = 0.0;   // Result-set resolution (index probe).
   double score_us = 0.0;     // Category descent + ranking.
   double serialize_us = 0.0; // Response rendering (HTTP ingress only).
-  bool deduped = false;      // Answer fanned out from a batch leader.
   bool shed = false;
   bool degraded = false;
   bool errored = false;

@@ -121,11 +121,9 @@ bool TailSampler::FinishTrace(uint64_t trace_id, const TraceFinish& fin) {
     entry.query = fin.query;
     entry.version = fin.version;
     entry.total_us = fin.total_us;
-    entry.queue_us = fin.queue_us;
     entry.resolve_us = fin.resolve_us;
     entry.score_us = fin.score_us;
     entry.serialize_us = fin.serialize_us;
-    entry.deduped = fin.deduped;
     entry.shed = fin.shed;
     entry.degraded = fin.degraded;
     entry.errored = fin.errored;

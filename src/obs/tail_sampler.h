@@ -64,11 +64,9 @@ struct TraceFinish {
   /// Slow-log payload (ignored when the trace is discarded).
   std::string query;
   uint64_t version = 0;
-  double queue_us = 0.0;
   double resolve_us = 0.0;
   double score_us = 0.0;
   double serialize_us = 0.0;
-  bool deduped = false;
 };
 
 class TailSampler {

@@ -90,11 +90,11 @@ std::vector<SpanEvent> CollectSpans();
 /// Discards all recorded spans.
 void ClearSpans();
 
-/// Records one already-timed span with an explicit parent override —
-/// the cross-trace link primitive. The span carries the installed
-/// context's trace id (0 when none) and a fresh span id, but attaches
-/// under `parent_id` rather than the thread's innermost span: a dedup
-/// follower's span points at the leader's scoring span this way.
+/// Records one already-timed span with an explicit parent: the span
+/// carries the installed context's trace id (0 when none) and a fresh span
+/// id, but attaches under `parent_id` rather than the thread's innermost
+/// span. For spans timed outside any scope, e.g. perfbench's client-side
+/// /route round trip joined to the server's trace after the fact.
 void RecordLinkedSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
                       uint64_t parent_id);
 
@@ -117,10 +117,6 @@ class ScopedSpan {
     }
   }
 
-  /// This span's id while active (0 when the span is inactive). Lets call
-  /// sites hand their span out as an explicit parent (dedup fan-out).
-  uint64_t span_id() const { return span_id_; }
-
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
@@ -142,9 +138,5 @@ class ScopedSpan {
 /// be a string literal ("module/phase" by convention).
 #define OCT_SPAN(name) \
   ::oct::obs::ScopedSpan OCT_OBS_CONCAT(oct_scoped_span_, __LINE__)(name)
-
-/// Like OCT_SPAN but names the variable, so the body can read its
-/// span_id() to link other spans under it.
-#define OCT_NAMED_SPAN(var, name) ::oct::obs::ScopedSpan var(name)
 
 #endif  // OCT_OBS_TRACE_H_

@@ -1,9 +1,9 @@
 // TraceContext: the per-request identity that turns thread-local spans into
 // one cross-thread tree. A context is created at request ingress (the
-// /route handler, or Router::Submit when a request arrives without one),
-// carried *explicitly* across every async boundary — the router's bounded
-// queue, batch dedup fan-out, delta/store publish pumps, ThreadPool tasks —
-// and installed on whichever thread does the work via TraceContextScope.
+// /route handler, or Router::Route when a request arrives without one),
+// carried *explicitly* across every async boundary — delta/store publish
+// pumps, ThreadPool tasks — and installed on whichever thread does the work
+// via TraceContextScope.
 // Every span finished while a context is installed carries the context's
 // trace_id plus an explicit span_id/parent_id pair, so /tracez?trace_id=
 // reassembles the request's full tree no matter how many threads it

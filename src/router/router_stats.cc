@@ -6,41 +6,29 @@ namespace oct {
 namespace router {
 
 std::string RouterStatsSnapshot::ToString() const {
-  char buf[320];
+  char buf[256];
   std::snprintf(
       buf, sizeof(buf),
-      "requests=%llu routed=%llu unrouted=%llu shed=%llu "
-      "(queue_full=%llu deadline=%llu) degraded=%llu errors=%llu "
-      "batches=%llu cache=%llu/%llu deduped=%llu queue_depth=%lld "
-      "index_version=%lld shed_rate=%.3f",
+      "requests=%llu routed=%llu unrouted=%llu shed_deadline=%llu "
+      "degraded=%llu errors=%llu index_version=%lld shed_rate=%.3f",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(routed),
       static_cast<unsigned long long>(unrouted),
-      static_cast<unsigned long long>(TotalShed()),
-      static_cast<unsigned long long>(shed_queue_full),
       static_cast<unsigned long long>(shed_deadline),
       static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_hits + cache_misses),
-      static_cast<unsigned long long>(deduped),
-      static_cast<long long>(queue_depth),
       static_cast<long long>(index_version), ShedRate());
   return buf;
 }
 
 RouterStats::RouterStats()
     : requests_(registry_.GetCounter(
-          "router.requests", "Requests admitted into the routing queue")),
+          "router.requests", "Requests admitted by a running router")),
       routed_(registry_.GetCounter(
           "router.routed", "Requests answered with a non-empty ranking")),
       unrouted_(registry_.GetCounter(
           "router.unrouted",
           "Requests answered OK with no category above the Jaccard floor")),
-      shed_queue_full_(registry_.GetCounter(
-          "router.shed_queue_full",
-          "Requests rejected at admission: queue at capacity")),
       shed_deadline_(registry_.GetCounter(
           "router.shed_deadline",
           "Requests dropped: deadline expired before scoring began")),
@@ -49,48 +37,25 @@ RouterStats::RouterStats()
           "Requests cut short mid-descent, answered best-so-far")),
       errors_(registry_.GetCounter(
           "router.errors", "Requests failed by resolve/score errors")),
-      batches_(registry_.GetCounter("router.batches",
-                                    "Worker batches drained from the queue")),
-      cache_hits_(registry_.GetCounter(
-          "router.cache_hits",
-          "Head-query result-cache hits (per-version cache)")),
-      cache_misses_(registry_.GetCounter(
-          "router.cache_misses",
-          "Head-query result-cache misses (computed and inserted)")),
-      deduped_(registry_.GetCounter(
-          "router.deduped",
-          "Requests answered by an identical leader in the same batch")),
-      queue_depth_(registry_.GetGauge("router.queue_depth",
-                                      "Requests waiting in the queue")),
-      cache_size_(registry_.GetGauge("router.cache_size",
-                                     "Entries in the head-query result "
-                                     "cache")),
       index_version_(registry_.GetGauge(
           "router.index_version",
           "TreeSnapshot version of the most recently pinned RouteIndex")),
       route_us_(registry_.GetHistogram(
-          "router.route_us", "End-to-end route latency (admit to answer)",
+          "router.route_us", "End-to-end route latency (arrival to answer)",
           "us")),
-      queue_us_(registry_.GetHistogram(
-          "router.queue_us", "Time spent waiting in the queue", "us")),
-      batch_size_(registry_.GetHistogram(
-          "router.batch_size", "Requests drained per worker batch", "")) {}
+      resolve_us_(registry_.GetHistogram(
+          "router.resolve_us", "Result-set resolution per answer", "us")),
+      score_us_(registry_.GetHistogram(
+          "router.score_us", "Descent and ranking per answer", "us")) {}
 
 RouterStatsSnapshot RouterStats::Snapshot() const {
   RouterStatsSnapshot s;
   s.requests = requests_->Value();
   s.routed = routed_->Value();
   s.unrouted = unrouted_->Value();
-  s.shed_queue_full = shed_queue_full_->Value();
   s.shed_deadline = shed_deadline_->Value();
   s.degraded = degraded_->Value();
   s.errors = errors_->Value();
-  s.batches = batches_->Value();
-  s.cache_hits = cache_hits_->Value();
-  s.cache_misses = cache_misses_->Value();
-  s.deduped = deduped_->Value();
-  s.queue_depth = queue_depth_->Value();
-  s.cache_size = cache_size_->Value();
   s.index_version = index_version_->Value();
   return s;
 }

@@ -2,7 +2,7 @@
 // router, backed by a per-instance obs::MetricsRegistry (the ServeStats
 // pattern) so tests and multi-router processes get independent numbers
 // while the standard JSON/Prometheus exporters keep working. Recording
-// from worker threads never synchronizes (sharded relaxed counters).
+// from many caller threads never synchronizes (sharded relaxed counters).
 
 #ifndef OCT_ROUTER_ROUTER_STATS_H_
 #define OCT_ROUTER_ROUTER_STATS_H_
@@ -17,46 +17,30 @@ namespace router {
 
 /// Plain-value copy of every router metric, safe to pass around.
 struct RouterStatsSnapshot {
-  /// Requests admitted into the queue (Submit returned OK).
+  /// Requests admitted by a running router.
   uint64_t requests = 0;
   /// Requests answered with at least one ranked category.
   uint64_t routed = 0;
   /// Requests answered OK but with an empty ranking (no category reached
   /// the Jaccard floor, or the query's result set was empty).
   uint64_t unrouted = 0;
-  /// Requests rejected at admission because the queue was full.
-  uint64_t shed_queue_full = 0;
-  /// Requests dropped because their deadline expired before scoring began
-  /// (at admission or at dequeue).
+  /// Requests dropped because their deadline expired before scoring began.
   uint64_t shed_deadline = 0;
   /// Requests whose descent was cut short by deadline/budget but still
   /// returned a valid best-so-far ranking.
   uint64_t degraded = 0;
   /// Requests failed by injected or real errors (resolve/score paths).
   uint64_t errors = 0;
-  /// Worker batches drained from the queue.
-  uint64_t batches = 0;
-  /// Head-query result-cache hits / misses (batched path only; the cache
-  /// is per tree version and cleared on every publish).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  /// Requests in a batch answered by an identical leader request's result
-  /// (cross-request dedup) instead of scoring again.
+  /// Always 0: the router no longer deduplicates requests. Kept because the
+  /// repository benchmark (perfbench/) reads it.
   uint64_t deduped = 0;
-  /// Instantaneous queue depth.
-  int64_t queue_depth = 0;
-  /// Entries currently in the result cache.
-  int64_t cache_size = 0;
   /// TreeSnapshot version of the most recently pinned RouteIndex.
   int64_t index_version = 0;
 
-  uint64_t TotalShed() const { return shed_queue_full + shed_deadline; }
   double ShedRate() const {
-    const uint64_t offered = requests + shed_queue_full;
-    return offered == 0
-               ? 0.0
-               : static_cast<double>(TotalShed()) /
-                     static_cast<double>(offered);
+    return requests == 0 ? 0.0
+                         : static_cast<double>(shed_deadline) /
+                               static_cast<double>(requests);
   }
 
   /// One-line "k=v k=v ..." rendering for logs.
@@ -72,21 +56,13 @@ class RouterStats {
   void RecordAdmitted() { requests_->Increment(); }
   void RecordRouted() { routed_->Increment(); }
   void RecordUnrouted() { unrouted_->Increment(); }
-  void RecordShedQueueFull() { shed_queue_full_->Increment(); }
   void RecordShedDeadline() { shed_deadline_->Increment(); }
   void RecordDegraded() { degraded_->Increment(); }
   void RecordError() { errors_->Increment(); }
-  void RecordBatch(size_t size) {
-    batches_->Increment();
-    batch_size_->Record(static_cast<double>(size));
-  }
-  void RecordCacheHit() { cache_hits_->Increment(); }
-  void RecordCacheMiss() { cache_misses_->Increment(); }
-  void RecordDeduped() { deduped_->Increment(); }
-  void SetCacheSize(int64_t size) { cache_size_->Set(size); }
-  void SetQueueDepth(int64_t depth) { queue_depth_->Set(depth); }
   void SetIndexVersion(int64_t version) { index_version_->Set(version); }
-  void RecordQueueWait(double seconds) { queue_us_->Record(seconds * 1e6); }
+  /// Stage latencies of one answer that reached the stage.
+  void RecordResolve(double seconds) { resolve_us_->Record(seconds * 1e6); }
+  void RecordScore(double seconds) { score_us_->Record(seconds * 1e6); }
   /// `trace_id` (0 = none) exemplar-links the latency bucket this request
   /// lands in to its trace on /tracez.
   void RecordRoute(double seconds, uint64_t trace_id = 0) {
@@ -94,10 +70,6 @@ class RouterStats {
   }
 
   RouterStatsSnapshot Snapshot() const;
-
-  /// End-to-end route latency histogram (microseconds) for percentile
-  /// reporting without re-aggregating.
-  const obs::Histogram& route_histogram() const { return *route_us_; }
 
   /// The registry backing these stats; usable with obs::MetricsToJson.
   const obs::MetricsRegistry& registry() const { return registry_; }
@@ -107,20 +79,13 @@ class RouterStats {
   obs::Counter* requests_;
   obs::Counter* routed_;
   obs::Counter* unrouted_;
-  obs::Counter* shed_queue_full_;
   obs::Counter* shed_deadline_;
   obs::Counter* degraded_;
   obs::Counter* errors_;
-  obs::Counter* batches_;
-  obs::Counter* cache_hits_;
-  obs::Counter* cache_misses_;
-  obs::Counter* deduped_;
-  obs::Gauge* queue_depth_;
-  obs::Gauge* cache_size_;
   obs::Gauge* index_version_;
   obs::Histogram* route_us_;
-  obs::Histogram* queue_us_;
-  obs::Histogram* batch_size_;
+  obs::Histogram* resolve_us_;
+  obs::Histogram* score_us_;
 };
 
 }  // namespace router

@@ -1,6 +1,9 @@
 #include "serve/exposition.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <system_error>
 #include <utility>
 
 #include "data/datasets.h"
@@ -21,6 +24,19 @@
 
 namespace oct {
 namespace serve {
+
+namespace {
+
+/// Parses all of `text` as a T: false on junk, on a trailing remainder, on
+/// a sign T cannot hold, and on overflow.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 ServingExposition::ServingExposition(const TreeStore* store,
                                      const RebuildScheduler* scheduler,
@@ -174,14 +190,11 @@ obs::HealthReport ServingExposition::Health() const {
                        " consecutive rebuild failures)";
     }
   }
-  // A mounted /route endpoint with no workers behind it serves only errors:
+  // A mounted /route endpoint with a stopped router serves only sheds:
   // that is an unhealthy process even while snapshot reads still work.
   if (router_ != nullptr) {
     if (router_->running()) {
-      report.detail +=
-          ", router running (queue " +
-          std::to_string(router_->queue_depth()) + "/" +
-          std::to_string(router_->options().max_queue) + ")";
+      report.detail += ", router running";
     } else {
       report.healthy = false;
       report.detail += ", router stopped";
@@ -233,20 +246,30 @@ std::string ServingExposition::HandleRoute(
   router::RouteRequest route_request;
   route_request.query = std::move(parsed).value();
   const std::string k = obs::HttpQueryParam(request.query, "k");
-  if (!k.empty()) {
-    route_request.top_k = static_cast<size_t>(std::atol(k.c_str()));
+  if (!k.empty() && !ParseWhole(k, &route_request.top_k)) {
+    return error(400, "k must be a non-negative integer, got '" + k + "'");
   }
   const std::string deadline_ms =
       obs::HttpQueryParam(request.query, "deadline_ms");
   if (!deadline_ms.empty()) {
-    route_request.deadline_seconds = std::atof(deadline_ms.c_str()) * 1e-3;
+    constexpr double kMaxDeadlineMs = router::kMaxDeadlineSeconds * 1e3;
+    double ms = 0.0;
+    if (!ParseWhole(deadline_ms, &ms) || !std::isfinite(ms) || ms < 0.0 ||
+        ms > kMaxDeadlineMs) {
+      return error(400,
+                   "deadline_ms must be a number of milliseconds in [0, " +
+                       std::to_string(static_cast<long long>(kMaxDeadlineMs)) +
+                       "], got '" + deadline_ms + "'");
+    }
+    route_request.deadline_seconds = ms * 1e-3;
   }
 
   // The HTTP ingress owns the request's trace: the router sees a valid
   // ambient context (so it will not mint one of its own) and the finish
   // verdict below includes response-serialization time the router never
   // sees. Early parse errors above deliberately predate the trace — a
-  // malformed query is a client problem, not a tail-latency event.
+  // malformed query is a client problem, not a tail-latency event. The
+  // deadline is at most a day, so the nanosecond arithmetic stays in range.
   uint64_t deadline_ns = 0;
   if (route_request.deadline_seconds > 0) {
     deadline_ns = obs::TraceNowNanos() +
@@ -257,11 +280,10 @@ std::string ServingExposition::HandleRoute(
   router::RouteResult result;
   {
     obs::TraceContextScope scope(trace);
-    result = router_->Route(std::move(route_request));
+    result = router_->Route(route_request);
   }
   int status = 200;
-  if (result.shed || result.status.code() == StatusCode::kResourceExhausted ||
-      result.status.code() == StatusCode::kFailedPrecondition) {
+  if (result.shed || result.status.code() == StatusCode::kFailedPrecondition) {
     status = 503;  // Shed or not servable — retryable, not a client error.
   } else if (result.status.code() == StatusCode::kInvalidArgument) {
     status = 400;
@@ -311,11 +333,9 @@ std::string ServingExposition::HandleRoute(
   fin.errored = !result.status.ok() && !result.shed && !result.degraded;
   fin.query = q;
   fin.version = result.version;
-  fin.queue_us = result.queue_seconds * 1e6;
   fin.resolve_us = result.resolve_seconds * 1e6;
   fin.score_us = result.score_seconds * 1e6;
   fin.serialize_us = serialize_timer.ElapsedSeconds() * 1e6;
-  fin.deduped = result.deduped;
   obs::FinishRequestTrace(trace, fin);
   return obs::MakeHttpResponse(status, "application/json", w.str());
 }
@@ -430,14 +450,10 @@ std::string ServingExposition::StatusJson() const {
     const router::RouterStatsSnapshot rs = router_->stats().Snapshot();
     w.Key("router").BeginObject();
     w.Key("running").Bool(router_->running());
-    w.Key("workers").Uint(router_->options().num_workers);
-    w.Key("max_queue").Uint(router_->options().max_queue);
-    w.Key("queue_depth").Int(rs.queue_depth);
     w.Key("index_version").Int(rs.index_version);
     w.Key("requests").Uint(rs.requests);
     w.Key("routed").Uint(rs.routed);
     w.Key("unrouted").Uint(rs.unrouted);
-    w.Key("shed_queue_full").Uint(rs.shed_queue_full);
     w.Key("shed_deadline").Uint(rs.shed_deadline);
     w.Key("degraded").Uint(rs.degraded);
     w.Key("errors").Uint(rs.errors);

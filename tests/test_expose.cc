@@ -2,8 +2,9 @@
 // SpanRing retention buffer, and loopback-socket integration — scraping
 // /metrics under concurrent recording load (monotone counters, parseable
 // output), /healthz flipping with the circuit breaker via failpoints,
-// malformed/oversized request rejection, and clean Stop() with connections
-// mid-request. The whole file runs under TSan in CI (tools/run_sanitizers.sh
+// malformed/oversized request rejection, 503 shedding when the connection
+// queue is full (the serving path's admission control: /route runs on these
+// handler threads), and clean Stop() with connections mid-request. The whole file runs under TSan in CI (tools/run_sanitizers.sh
 // runs the full ctest suite), which is the point: scrapes synchronize with
 // nothing on the record path.
 
@@ -13,11 +14,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,13 +48,12 @@ namespace {
 // Helpers
 // ---------------------------------------------------------------------------
 
-/// Sends raw bytes to 127.0.0.1:port and returns everything read until the
-/// server closes (or a short timeout). Lets tests speak broken HTTP, which
-/// HttpGetLocal refuses to.
-std::string RawExchange(int port, const std::string& bytes) {
+/// A client socket connected to 127.0.0.1:port, with `timeout_seconds`
+/// send/receive timeouts; -1 when the connect fails.
+int ConnectLocal(int port, long timeout_seconds = 2) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  timeval tv{2, 0};
+  if (fd < 0) return -1;
+  timeval tv{timeout_seconds, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   sockaddr_in addr{};
@@ -58,8 +62,12 @@ std::string RawExchange(int port, const std::string& bytes) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+void SendAll(int fd, const std::string& bytes) {
   size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n =
@@ -67,6 +75,11 @@ std::string RawExchange(int port, const std::string& bytes) {
     if (n <= 0) break;
     sent += static_cast<size_t>(n);
   }
+}
+
+/// Everything read from `fd` until the server closes (or the receive
+/// timeout); closes `fd`.
+std::string ReadUntilClosed(int fd) {
   std::string response;
   char buf[4096];
   for (;;) {
@@ -76,6 +89,16 @@ std::string RawExchange(int port, const std::string& bytes) {
   }
   ::close(fd);
   return response;
+}
+
+/// Sends raw bytes to 127.0.0.1:port and returns everything read until the
+/// server closes (or a short timeout). Lets tests speak broken HTTP, which
+/// HttpGetLocal refuses to.
+std::string RawExchange(int port, const std::string& bytes) {
+  const int fd = ConnectLocal(port);
+  if (fd < 0) return "";
+  SendAll(fd, bytes);
+  return ReadUntilClosed(fd);
 }
 
 /// Body of an HTTP response (everything after the blank line).
@@ -437,6 +460,91 @@ TEST(ExpositionServer, StopsCleanlyWithInFlightConnections) {
   EXPECT_LT(stop_timer.ElapsedSeconds(), 3.0) << "Stop() hung on a stalled "
                                                  "connection";
   ::close(fd);
+}
+
+TEST(ExpositionServer, FullConnectionQueueShedsWith503AndNeverStalls) {
+  // One handler thread and one queue slot; the /block handler holds its
+  // thread until the test releases it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<int> entered{0};
+  ExpositionOptions options;
+  options.num_workers = 1;
+  options.max_pending_connections = 1;
+  options.extra_endpoints.push_back(
+      {"/block", [&](const HttpRequest&) {
+         entered.fetch_add(1);
+         std::unique_lock<std::mutex> lock(mu);
+         cv.wait(lock, [&] { return released; });
+         return MakeHttpResponse(200, "text/plain", "released\n");
+       }});
+  const auto release = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  };
+  ExpositionServer server(options);
+  // Destroyed before the server: a failed assertion still releases the
+  // handler, so the server's Stop() can join it.
+  struct ReleaseOnExit {
+    std::function<void()> run;
+    ~ReleaseOnExit() { run(); }
+  } release_on_exit{release};
+  ASSERT_TRUE(server.Start().ok());
+  const int port = server.port();
+  Counter* rejected = MetricsRegistry::Default()->GetCounter(
+      "obs.expose.rejected_connections");
+  const uint64_t rejected_before = rejected->Value();
+  const std::string block_request = "GET /block HTTP/1.1\r\n\r\n";
+
+  // The first request occupies the only handler...
+  const int first = ConnectLocal(port, /*timeout_seconds=*/30);
+  ASSERT_GE(first, 0);
+  SendAll(first, block_request);
+  Timer wait;
+  while (entered.load() < 1 && wait.ElapsedSeconds() < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(entered.load(), 1);
+  // ...the second fills the queue slot. Connections are accepted in
+  // connect order, so it is queued before any of the ones below arrive.
+  const int second = ConnectLocal(port, /*timeout_seconds=*/30);
+  ASSERT_GE(second, 0);
+  SendAll(second, block_request);
+
+  // Every connection beyond the queue is answered 503 at once; none
+  // waits for the blocked handler. They send nothing, so the server's
+  // close never races unread request bytes.
+  constexpr int kOverflow = 5;
+  double slowest = 0.0;
+  for (int i = 0; i < kOverflow; ++i) {
+    Timer timer;
+    const int fd = ConnectLocal(port, /*timeout_seconds=*/5);
+    ASSERT_GE(fd, 0);
+    const std::string response = ReadUntilClosed(fd);
+    slowest = std::max(slowest, timer.ElapsedSeconds());
+    EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos)
+        << i << ": " << response;
+    EXPECT_NE(response.find("exposition queue full"), std::string::npos)
+        << i << ": " << response;
+  }
+  EXPECT_LT(slowest, 1.0) << "a shed connection waited on the handler";
+  EXPECT_EQ(rejected->Value() - rejected_before,
+            static_cast<uint64_t>(kOverflow));
+  EXPECT_EQ(entered.load(), 1);
+
+  // Released, both admitted requests are answered.
+  release();
+  for (const int fd : {first, second}) {
+    const std::string response = ReadUntilClosed(fd);
+    EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
+    EXPECT_NE(response.find("released"), std::string::npos) << response;
+  }
+  EXPECT_EQ(entered.load(), 2);
+  server.Stop();
 }
 
 TEST(ExpositionServer, RestartsAfterStop) {

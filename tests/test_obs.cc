@@ -625,11 +625,8 @@ TEST(TraceContext, HexRoundTripsAndRejectsGarbage) {
 }
 
 TEST_F(TraceTest, SpansCarryExplicitParentIds) {
-  uint64_t outer_id = 0;
   {
-    OCT_NAMED_SPAN(outer, "parent/outer");
-    outer_id = outer.span_id();
-    EXPECT_NE(outer_id, 0u);
+    OCT_SPAN("parent/outer");
     { OCT_SPAN("parent/inner"); }
   }
   const std::vector<SpanEvent> spans = CollectSpans();
@@ -642,7 +639,7 @@ TEST_F(TraceTest, SpansCarryExplicitParentIds) {
   }
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(outer->span_id, outer_id);
+  EXPECT_NE(outer->span_id, 0u);
   EXPECT_EQ(outer->parent_id, 0u);
   EXPECT_EQ(inner->parent_id, outer->span_id);
   EXPECT_NE(inner->span_id, outer->span_id);

@@ -78,8 +78,8 @@ done
 echo "(missing/malformed q -> 400)"
 
 echo "== /slowz + /sloz (tail sampling under load) =="
-# A burst of routes with a 1-microsecond deadline: the deadline expires in
-# the queue, the requests shed, and the tail sampler must promote them
+# A burst of routes with a 1-microsecond deadline: the deadline is gone
+# before scoring, the requests shed, and the tail sampler must promote them
 # into the slow log. Clean requests above stay out of it.
 for _ in $(seq 1 20); do
   curl -s -o /dev/null "$BASE/route?q=0%3A0&deadline_ms=0.001" || true

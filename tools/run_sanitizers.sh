@@ -10,8 +10,10 @@
 #
 # tsan additionally runs the observability, serve stress, and router
 # suites first — they are the densest sources of cross-thread
-# interleavings in the repo (tail-sampler shards vs. finishing workers;
-# snapshot publish vs. readers; batch workers vs. publishers).
+# interleavings in the repo (tail-sampler shards vs. finishing requests;
+# snapshot publish vs. readers; concurrent routes vs. publishers and the
+# shared route-index cache). ubsan builds with float-cast-overflow on top
+# of -fsanitize=undefined (see CMakeLists.txt).
 #
 # Benchmarks and examples are skipped: they add nothing to sanitizer
 # coverage and google-benchmark is not instrumented.
