@@ -14,10 +14,9 @@
 // counters (cycles, instructions, LLC references/misses, derived IPC and
 // miss rate) via util/perf_counters.h, or the explicit marker
 // "perf_unavailable" when perf_event_open is denied — so a snapshot never
-// silently pretends it measured the hardware. The active kernel ISA tier
-// is recorded alongside ("kernel_isa"), making snapshots comparable across
-// machines and OCT_KERNEL_ISA overrides. docs/PERFORMANCE.md documents how
-// to read these fields; tools/bench_diff.py diffs them advisorily.
+// silently pretends it measured the hardware. docs/PERFORMANCE.md
+// documents how to read these fields; tools/bench_diff.py diffs them
+// advisorily.
 
 #ifndef OCT_BENCH_BENCH_UTIL_H_
 #define OCT_BENCH_BENCH_UTIL_H_
@@ -30,7 +29,6 @@
 
 #include "data/datasets.h"
 #include "eval/harness.h"
-#include "kernel/simd_dispatch.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -122,7 +120,6 @@ class BenchReport {
     w.EndObject();
     w.Key("metrics").Raw(obs::MetricsToJson(*obs::MetricsRegistry::Default()));
     w.Key("spans").Raw(obs::SpansToJson(spans));
-    w.Key("kernel_isa").String(kernel::IsaTierName(kernel::ActiveIsaTier()));
     WritePerf(w);
     w.EndObject();
     const Status st = obs::WriteStringToFile(json_path, w.str());

@@ -3,8 +3,9 @@
 //
 //   1. Conflict enumeration (dataset C, default bench scale): a serial
 //      all-pairs merge-based baseline — the loop the paper implies and the
-//      code shipped before the kernel layer — against the candidate-pruned,
-//      bitmap-routed, ThreadPool-parallel AnalyzeConflicts. The bench
+//      code shipped before the kernel layer — against AnalyzeConflicts,
+//      which counts overlaps through the ItemSetIndex inverted lists
+//      (disjoint pairs are never touched) on the ThreadPool. The bench
 //      FAILS (exit 1) unless the kernel path is at least 3x faster AND
 //      produces the identical conflict structure.
 //   2. The CCT condensed distance matrix: serial Embeddings::Distance
@@ -12,12 +13,10 @@
 //      bit-identical, plus an end-to-end CCT tree-identity check with the
 //      index on vs off.
 //
-// The header line reports the active SIMD dispatch tier (scalar / avx2 /
-// avx512, see kernel/simd_dispatch.h) so recorded speedups are attributable
-// to a specific code path; each timed phase is wrapped in a PerfPhase, so
-// OCT_BENCH_JSON snapshots carry per-phase hardware counters (IPC, LLC
-// miss rate) when perf_event_open is available — and the explicit
-// "perf_unavailable" marker when it is not.
+// Each timed phase is wrapped in a PerfPhase, so OCT_BENCH_JSON snapshots
+// carry per-phase hardware counters (IPC, LLC miss rate) when
+// perf_event_open is available — and the explicit "perf_unavailable"
+// marker when it is not; the header line says which.
 //
 // Structured output: OCT_BENCH_JSON / OCT_TRACE as in every other bench.
 
@@ -35,7 +34,6 @@
 #include "data/datasets.h"
 #include "kernel/item_set_index.h"
 #include "kernel/pairwise.h"
-#include "kernel/simd_dispatch.h"
 #include "util/perf_counters.h"
 #include "util/table_writer.h"
 #include "util/thread_pool.h"
@@ -151,9 +149,7 @@ int main() {
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   const data::Dataset ds = data::MakeDataset('C', sim);
   bench::PrintHeader("kernel_speedup", ds);
-  std::printf("kernel ISA tier: %s (highest supported: %s), perf counters: %s\n\n",
-              kernel::IsaTierName(kernel::ActiveIsaTier()),
-              kernel::IsaTierName(kernel::HighestSupportedIsaTier()),
+  std::printf("perf counters: %s\n\n",
               util::PerfCounters::Supported() ? "available"
                                               : "perf_unavailable");
   const size_t n = ds.input.num_sets();

@@ -18,11 +18,8 @@
 #include "core/scoring.h"
 #include "ctcr/conflicts.h"
 #include "ctcr/ctcr.h"
-#include "kernel/bitset.h"
-#include "kernel/hybrid_set.h"
 #include "kernel/item_set_index.h"
 #include "kernel/pairwise.h"
-#include "kernel/simd_dispatch.h"
 #include "mis/greedy.h"
 #include "mis/local_search.h"
 #include "mis/solver.h"
@@ -78,54 +75,7 @@ void BM_ItemSetGallopingIntersection(benchmark::State& state) {
 BENCHMARK(BM_ItemSetGallopingIntersection)->Arg(10000)->Arg(100000);
 
 // --- kernel section ---------------------------------------------------
-// The numbers behind the routing constants in DESIGN.md §8: word-parallel
-// AND+popcount vs the sorted merge at a fixed universe and varying set
-// size (the crossover), the probe form, the index build, and the two
-// pairwise drivers.
-
-void BM_BitSetIntersectionCount(benchmark::State& state) {
-  // Universe sweep at ~50% density: pure words/sec of the AND+popcount
-  // loop, independent of how many items the operands hold.
-  Rng rng(21);
-  const size_t universe = static_cast<size_t>(state.range(0));
-  kernel::BitSet a(universe), b(universe);
-  a.AssignFrom(RandomSet(&rng, universe, universe / 2));
-  b.AssignFrom(RandomSet(&rng, universe, universe / 2));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.IntersectionCount(b));
-  }
-}
-BENCHMARK(BM_BitSetIntersectionCount)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_BitsetVsMergeCrossover(benchmark::State& state) {
-  // Fixed universe (20k items = 313 words), sweeping |a|+|b|. Compare
-  // against BM_MergeAtCrossoverScale below at the same sizes: the bitset
-  // loop wins once words <= words_per_merge_step * (|a|+|b|) — the
-  // ItemSetIndexOptions constant, measured in DESIGN.md §8.
-  Rng rng(22);
-  const size_t universe = 20000;
-  const size_t size = static_cast<size_t>(state.range(0));
-  kernel::BitSet a(universe), b(universe);
-  a.AssignFrom(RandomSet(&rng, universe, size));
-  b.AssignFrom(RandomSet(&rng, universe, size));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.IntersectionCount(b));
-  }
-}
-BENCHMARK(BM_BitsetVsMergeCrossover)->Arg(20)->Arg(40)->Arg(80)->Arg(320);
-
-void BM_MergeAtCrossoverScale(benchmark::State& state) {
-  // The merge side of the crossover: same universe and sizes as
-  // BM_BitsetVsMergeCrossover, through ItemSet::IntersectionSize.
-  Rng rng(22);
-  const size_t size = static_cast<size_t>(state.range(0));
-  const ItemSet a = RandomSet(&rng, 20000, size);
-  const ItemSet b = RandomSet(&rng, 20000, size);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.IntersectionSize(b));
-  }
-}
-BENCHMARK(BM_MergeAtCrossoverScale)->Arg(20)->Arg(40)->Arg(80)->Arg(320);
+// The inverted-index build and the two pairwise drivers (DESIGN.md §8).
 
 void BM_ItemSetIndexBuild(benchmark::State& state) {
   const OctInput input =
@@ -138,23 +88,6 @@ BENCHMARK(BM_ItemSetIndexBuild)
     ->Arg(200)
     ->Arg(800)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_RoutedIntersectionSize(benchmark::State& state) {
-  // All-pairs point queries through the index router (bitmaps + probes +
-  // merges mixed, per the density heuristic).
-  const OctInput input = RandomInput(5000, 128, 120, 24);
-  const kernel::ItemSetIndex index = kernel::ItemSetIndex::Build(input);
-  for (auto _ : state) {
-    size_t sum = 0;
-    for (SetId a = 0; a < input.num_sets(); ++a) {
-      for (SetId b = a + 1; b < input.num_sets(); ++b) {
-        sum += index.IntersectionSize(a, b);
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_RoutedIntersectionSize)->Unit(benchmark::kMicrosecond);
 
 void BM_OverlapScan(benchmark::State& state) {
   // The candidate-pruned pairwise driver behind conflict enumeration.
@@ -191,118 +124,6 @@ BENCHMARK(BM_CondensedDistances)
     ->Arg(400)
     ->Arg(1200)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_AndPopcountPerTier(benchmark::State& state) {
-  // The raw dispatch primitive per ISA tier: Arg pair is (words, tier).
-  // Unsupported tiers skip rather than fail so the same binary runs on
-  // any machine; the entry tier is restored afterwards so later
-  // benchmarks see the startup dispatch decision.
-  const size_t words = static_cast<size_t>(state.range(0));
-  const auto tier = static_cast<kernel::IsaTier>(state.range(1));
-  if (!kernel::IsaTierSupported(tier)) {
-    state.SkipWithError("cpu lacks this tier");
-    return;
-  }
-  const kernel::IsaTier entry = kernel::ActiveIsaTier();
-  (void)kernel::ForceIsaTier(tier);
-  Rng rng(27);
-  std::vector<uint64_t> a(words), b(words);
-  for (size_t i = 0; i < words; ++i) {
-    a[i] = rng.Next();
-    b[i] = rng.Next();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel::AndPopcountWords(a.data(), b.data(),
-                                                      words));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(words) * 16);
-  (void)kernel::ForceIsaTier(entry);
-}
-BENCHMARK(BM_AndPopcountPerTier)
-    ->ArgNames({"words", "tier"})
-    ->Args({64, 0})->Args({64, 1})->Args({64, 2})
-    ->Args({4096, 0})->Args({4096, 1})->Args({4096, 2});
-
-ItemSet ClumpedSet(Rng* rng, size_t universe, size_t runs, size_t run_len) {
-  // Items concentrated in `runs` contiguous stretches — the shape the run
-  // container exists for (category subtrees over contiguous SKU ranges).
-  std::vector<ItemId> items;
-  items.reserve(runs * run_len);
-  for (size_t r = 0; r < runs; ++r) {
-    const size_t start = rng->NextBelow(universe - run_len);
-    for (size_t i = 0; i < run_len; ++i) {
-      items.push_back(static_cast<ItemId>(start + i));
-    }
-  }
-  return ItemSet(std::move(items));
-}
-
-void BM_HybridSetBuild(benchmark::State& state) {
-  // Container selection + construction cost for the shape each container
-  // targets: 0 = sparse (array), 1 = dense (bitmap), 2 = clumped (run).
-  Rng rng(28);
-  const size_t universe = 100000;
-  ItemSet set;
-  switch (state.range(0)) {
-    case 0: set = RandomSet(&rng, universe, 64); break;
-    case 1: set = RandomSet(&rng, universe, universe / 2); break;
-    default: set = ClumpedSet(&rng, universe, 8, 400); break;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel::HybridSet::Build(set, universe));
-  }
-}
-BENCHMARK(BM_HybridSetBuild)
-    ->ArgName("shape")
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_HybridRunRunIntersection(benchmark::State& state) {
-  // Run×run interval walk on clumped sets — compare against
-  // BM_HybridClumpedMergeBaseline on the same data: the run container
-  // counts whole intervals instead of visiting every item.
-  Rng rng(29);
-  const size_t universe = 100000;
-  const ItemSet sa = ClumpedSet(&rng, universe, 8, 400);
-  const ItemSet sb = ClumpedSet(&rng, universe, 8, 400);
-  const kernel::HybridSet a =
-      kernel::HybridSet::BuildAs(sa, universe, kernel::ContainerKind::kRun);
-  const kernel::HybridSet b =
-      kernel::HybridSet::BuildAs(sb, universe, kernel::ContainerKind::kRun);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel::HybridSet::IntersectionCount(a, b));
-  }
-}
-BENCHMARK(BM_HybridRunRunIntersection);
-
-void BM_HybridRunBitmapIntersection(benchmark::State& state) {
-  // Run×bitmap: CountRange over each run of a against b's bitmap words.
-  Rng rng(29);
-  const size_t universe = 100000;
-  const ItemSet sa = ClumpedSet(&rng, universe, 8, 400);
-  const ItemSet sb = RandomSet(&rng, universe, universe / 2);
-  const kernel::HybridSet a =
-      kernel::HybridSet::BuildAs(sa, universe, kernel::ContainerKind::kRun);
-  const kernel::HybridSet b = kernel::HybridSet::BuildAs(
-      sb, universe, kernel::ContainerKind::kBitmap);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel::HybridSet::IntersectionCount(a, b));
-  }
-}
-BENCHMARK(BM_HybridRunBitmapIntersection);
-
-void BM_HybridClumpedMergeBaseline(benchmark::State& state) {
-  // The sorted-merge cost on the same clumped data BM_HybridRunRun…
-  // measures — the number the run container has to beat.
-  Rng rng(29);
-  const ItemSet a = ClumpedSet(&rng, 100000, 8, 400);
-  const ItemSet b = ClumpedSet(&rng, 100000, 8, 400);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.IntersectionSize(b));
-  }
-}
-BENCHMARK(BM_HybridClumpedMergeBaseline);
 
 // --- end kernel section -----------------------------------------------
 

@@ -131,7 +131,7 @@ struct ClosedLoopResult {
 double MeasurePropagationNs(size_t iters) {
   Timer t;
   for (size_t i = 0; i < iters; ++i) {
-    const obs::TraceContext ctx = obs::StartRequestTrace(/*deadline_ns=*/0);
+    const obs::TraceContext ctx = obs::StartRequestTrace();
     {
       obs::TraceContextScope scope(ctx);
       OCT_SPAN("bench/route");

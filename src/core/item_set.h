@@ -3,8 +3,8 @@
 // Items are dense 32-bit ids into a finite universe U. Sets are stored as
 // sorted unique vectors; all set algebra is merge-based. Intersection
 // *counting* (no materialization) is the hot path of conflict enumeration.
-// Dense sets additionally get bitmap acceleration through
-// kernel::ItemSetIndex (see kernel/bitset.h); ItemSet stays the canonical
+// The kernels (kernel::ItemSetIndex, kernel::BitSet) are scratch and
+// acceleration structures over it; ItemSet stays the canonical
 // representation.
 
 #ifndef OCT_CORE_ITEM_SET_H_

@@ -1,8 +1,5 @@
 #include "kernel/bitset.h"
 
-#include <bit>
-
-#include "kernel/simd_dispatch.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -10,28 +7,6 @@ namespace kernel {
 
 BitSet::BitSet(size_t universe_size)
     : universe_size_(universe_size), words_(WordsFor(universe_size), 0) {}
-
-void BitSet::Reset(size_t universe_size) {
-  universe_size_ = universe_size;
-  words_.assign(WordsFor(universe_size), 0);
-}
-
-void BitSet::Clear() { std::fill(words_.begin(), words_.end(), 0); }
-
-void BitSet::Set(ItemId id) {
-  OCT_DCHECK_LT(id, universe_size_);
-  words_[id >> 6] |= uint64_t{1} << (id & 63);
-}
-
-bool BitSet::Test(ItemId id) const {
-  if (id >= universe_size_) return false;
-  return (words_[id >> 6] >> (id & 63)) & 1;
-}
-
-void BitSet::AssignFrom(const ItemSet& set) {
-  Clear();
-  SetAll(set);
-}
 
 void BitSet::SetAll(const ItemSet& set) {
   for (ItemId id : set) {
@@ -47,15 +22,6 @@ void BitSet::ClearAll(const ItemSet& set) {
   }
 }
 
-size_t BitSet::Count() const {
-  return PopcountWords(words_.data(), words_.size());
-}
-
-size_t BitSet::IntersectionCount(const BitSet& other) const {
-  OCT_DCHECK_EQ(words_.size(), other.words_.size());
-  return AndPopcountWords(words_.data(), other.words_.data(), words_.size());
-}
-
 size_t BitSet::IntersectionCount(const ItemSet& other) const {
   size_t count = 0;
   for (ItemId id : other) {
@@ -63,120 +29,6 @@ size_t BitSet::IntersectionCount(const ItemSet& other) const {
     count += (words_[id >> 6] >> (id & 63)) & 1;
   }
   return count;
-}
-
-bool BitSet::Intersects(const BitSet& other) const {
-  OCT_DCHECK_EQ(words_.size(), other.words_.size());
-  return AndAnyWords(words_.data(), other.words_.data(), words_.size());
-}
-
-bool BitSet::Intersects(const ItemSet& other) const {
-  for (ItemId id : other) {
-    OCT_DCHECK_LT(id, universe_size_);
-    if ((words_[id >> 6] >> (id & 63)) & 1) return true;
-  }
-  return false;
-}
-
-bool BitSet::IsSubsetOf(const BitSet& other) const {
-  OCT_DCHECK_EQ(words_.size(), other.words_.size());
-  return AndNotNoneWords(words_.data(), other.words_.data(), words_.size());
-}
-
-bool BitSet::ContainsAll(const ItemSet& other) const {
-  for (ItemId id : other) {
-    if (id >= universe_size_) return false;
-    if (((words_[id >> 6] >> (id & 63)) & 1) == 0) return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// Bits [lo, hi) of a word, hi <= 64, lo <= hi.
-inline uint64_t RangeMask(unsigned lo, unsigned hi) {
-  const uint64_t upper = hi >= 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
-  const uint64_t lower = (uint64_t{1} << lo) - 1;
-  return upper & ~lower;
-}
-
-}  // namespace
-
-size_t BitSet::CountRange(ItemId begin, ItemId end) const {
-  if (begin >= end) return 0;
-  OCT_DCHECK_LE(end, universe_size_);
-  const size_t first = begin >> 6;
-  const size_t last = (end - 1) >> 6;  // Inclusive word of the last bit.
-  if (first == last) {
-    return std::popcount(words_[first] &
-                         RangeMask(begin & 63, ((end - 1) & 63) + 1));
-  }
-  size_t count = std::popcount(words_[first] & RangeMask(begin & 63, 64));
-  count += PopcountWords(words_.data() + first + 1, last - first - 1);
-  count += std::popcount(words_[last] & RangeMask(0, ((end - 1) & 63) + 1));
-  return count;
-}
-
-bool BitSet::AnyInRange(ItemId begin, ItemId end) const {
-  if (begin >= end) return false;
-  OCT_DCHECK_LE(end, universe_size_);
-  const size_t first = begin >> 6;
-  const size_t last = (end - 1) >> 6;
-  if (first == last) {
-    return (words_[first] & RangeMask(begin & 63, ((end - 1) & 63) + 1)) != 0;
-  }
-  if (words_[first] & RangeMask(begin & 63, 64)) return true;
-  for (size_t w = first + 1; w < last; ++w) {
-    if (words_[w] != 0) return true;
-  }
-  return (words_[last] & RangeMask(0, ((end - 1) & 63) + 1)) != 0;
-}
-
-bool BitSet::AllInRange(ItemId begin, ItemId end) const {
-  if (begin >= end) return true;
-  OCT_DCHECK_LE(end, universe_size_);
-  const size_t first = begin >> 6;
-  const size_t last = (end - 1) >> 6;
-  if (first == last) {
-    const uint64_t mask = RangeMask(begin & 63, ((end - 1) & 63) + 1);
-    return (words_[first] & mask) == mask;
-  }
-  uint64_t mask = RangeMask(begin & 63, 64);
-  if ((words_[first] & mask) != mask) return false;
-  for (size_t w = first + 1; w < last; ++w) {
-    if (words_[w] != ~uint64_t{0}) return false;
-  }
-  mask = RangeMask(0, ((end - 1) & 63) + 1);
-  return (words_[last] & mask) == mask;
-}
-
-void BitSet::UnionInPlace(const BitSet& other) {
-  OCT_DCHECK_EQ(words_.size(), other.words_.size());
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
-void BitSet::IntersectInPlace(const BitSet& other) {
-  OCT_DCHECK_EQ(words_.size(), other.words_.size());
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-}
-
-void BitSet::DifferenceInPlace(const BitSet& other) {
-  OCT_DCHECK_EQ(words_.size(), other.words_.size());
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
-}
-
-ItemSet BitSet::ToItemSet() const {
-  std::vector<ItemId> out;
-  out.reserve(Count());
-  for (size_t i = 0; i < words_.size(); ++i) {
-    uint64_t w = words_[i];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      out.push_back(static_cast<ItemId>(i * 64 + bit));
-      w &= w - 1;
-    }
-  }
-  return ItemSet::FromSorted(std::move(out));
 }
 
 }  // namespace kernel

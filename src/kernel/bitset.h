@@ -1,24 +1,14 @@
-// BitSet: a dense fixed-universe bitmap with word-parallel set algebra.
+// BitSet: a dense fixed-universe bitmap used as probe scratch.
 //
 // Items are the same dense 32-bit ids as ItemSet, packed 64 per word.
-// Intersection *counting* is a word-wise AND + popcount — O(|U|/64)
-// regardless of how many items the operands hold — which beats the sorted-
-// vector merge of ItemSet::IntersectionSize once the operands are dense
-// enough (the crossover is measured in DESIGN.md §8 and encoded in
-// ItemSetIndexOptions::words_per_merge_step). The sparse-probe overloads
-// taking an ItemSet cost O(|sparse operand|) and are the cheapest option
-// whenever one side has a materialized bitmap.
-//
-// The word-parallel paths (Count / IntersectionCount / Intersects /
-// IsSubsetOf) route through kernel/simd_dispatch.h, so they run the
-// scalar, AVX2, or AVX-512-VPOPCNTDQ loop the CPU (or OCT_KERNEL_ISA)
-// selected — bit-identical results on every tier. Word storage is
-// cache-line-aligned (util/aligned.h) so the 256/512-bit loads never
-// straddle lines.
+// Counting a sorted set against a bitmap costs O(|set|) — one word load and
+// bit test per item — regardless of how many items the bitmap holds, so a
+// bitmap pays off when one side is probed many times: MergeSimilarSets
+// keeps one scratch bitmap of the set it is growing, and the router keeps
+// one per dense category (router/route_index.h).
 //
 // A BitSet is a scratch/acceleration structure, not a model type: the OCT
-// model keeps ItemSet as the source of truth and kernels convert at the
-// edges (AssignFrom / ToItemSet round-trip exactly).
+// model keeps ItemSet as the source of truth.
 
 #ifndef OCT_KERNEL_BITSET_H_
 #define OCT_KERNEL_BITSET_H_
@@ -28,7 +18,6 @@
 #include <vector>
 
 #include "core/item_set.h"
-#include "util/aligned.h"
 
 namespace oct {
 namespace kernel {
@@ -46,75 +35,21 @@ class BitSet {
     return (universe_size + 63) / 64;
   }
 
-  /// Resizes to a (possibly different) universe and zeroes every bit.
-  void Reset(size_t universe_size);
-
-  /// Zeroes every bit; keeps the universe.
-  void Clear();
-
-  size_t universe_size() const { return universe_size_; }
-  size_t num_words() const { return words_.size(); }
-  size_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  void Set(ItemId id);
-  bool Test(ItemId id) const;
-
-  /// Clear() + Set() of every item of `set` (items must be < universe).
-  void AssignFrom(const ItemSet& set);
-
   /// Sets the bits of `set` without clearing others (incremental unions).
+  /// Items must be < universe.
   void SetAll(const ItemSet& set);
 
   /// Clears exactly the bits of `set` — an O(|set|) reset that restores the
   /// all-zero invariant of a shared scratch bitmap.
   void ClearAll(const ItemSet& set);
 
-  /// Number of set bits.
-  size_t Count() const;
-
-  /// |this ∩ other| via AND + popcount. Universes must match.
-  size_t IntersectionCount(const BitSet& other) const;
-
   /// |this ∩ other| by probing each item of the sorted set — O(|other|).
+  /// Items of `other` must be < universe.
   size_t IntersectionCount(const ItemSet& other) const;
-
-  bool Intersects(const BitSet& other) const;
-  bool Intersects(const ItemSet& other) const;
-
-  /// this ⊆ other, word-wise (this & ~other == 0).
-  bool IsSubsetOf(const BitSet& other) const;
-
-  /// other ⊆ this, by probing — O(|other|).
-  bool ContainsAll(const ItemSet& other) const;
-
-  /// Set bits within [begin, end) — the run-container × bitmap primitive:
-  /// a run's intersection with a bitmap is exactly the bitmap's population
-  /// over the run's interval. O((end-begin)/64).
-  size_t CountRange(ItemId begin, ItemId end) const;
-
-  /// Whether any bit in [begin, end) is set (early exit).
-  bool AnyInRange(ItemId begin, ItemId end) const;
-
-  /// Whether every bit in [begin, end) is set (run ⊆ bitmap).
-  bool AllInRange(ItemId begin, ItemId end) const;
-
-  void UnionInPlace(const BitSet& other);
-  void IntersectInPlace(const BitSet& other);
-  void DifferenceInPlace(const BitSet& other);
-
-  /// Sorted-vector copy of the set bits.
-  ItemSet ToItemSet() const;
-
-  bool operator==(const BitSet& other) const {
-    return universe_size_ == other.universe_size_ && words_ == other.words_;
-  }
-  bool operator!=(const BitSet& other) const { return !(*this == other); }
-
-  const util::AlignedWordVec& words() const { return words_; }
 
  private:
   size_t universe_size_ = 0;
-  util::AlignedWordVec words_;
+  std::vector<uint64_t> words_;
 };
 
 }  // namespace kernel

@@ -1,234 +1,23 @@
 #include "kernel/item_set_index.h"
 
-#include <algorithm>
-
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 
 namespace oct {
 namespace kernel {
 
-namespace {
-
-/// Routing counters, one line per route (see obs/metrics.h for the caching
-/// idiom). `kernel.bitset_hits` is the dashboard-facing name.
-struct RouteCounters {
-  obs::Counter* bitset;
-  obs::Counter* probe;
-  obs::Counter* merge;
-  obs::Counter* run;
-};
-
-const RouteCounters& Counters() {
-  static const RouteCounters c = {
-      obs::MetricsRegistry::Default()->GetCounter("kernel.bitset_hits"),
-      obs::MetricsRegistry::Default()->GetCounter("kernel.probe_hits"),
-      obs::MetricsRegistry::Default()->GetCounter("kernel.merge_hits"),
-      obs::MetricsRegistry::Default()->GetCounter("kernel.run_hits"),
-  };
-  return c;
-}
-
-inline bool IsRun(const HybridSet* c) {
-  return c != nullptr && c->kind() == ContainerKind::kRun;
-}
-
-}  // namespace
-
-ItemSetIndex ItemSetIndex::Build(const OctInput& input,
-                                 const ItemSetIndexOptions& options) {
+ItemSetIndex ItemSetIndex::Build(const OctInput& input) {
   OCT_SPAN("kernel/build_index");
   ItemSetIndex index;
   index.input_ = &input;
-  index.options_ = options;
   index.inverted_ = input.BuildInvertedIndex();
-
-  const size_t universe = input.universe_size();
   if (input.HasRelaxedBounds()) {
+    const size_t universe = input.universe_size();
     index.strict_item_.resize(universe);
     for (ItemId item = 0; item < universe; ++item) {
       index.strict_item_[item] = input.ItemBound(item) == 1;
     }
   }
-
-  const size_t n = input.num_sets();
-  index.container_of_.assign(n, -1);
-  const size_t bytes_per = BitSet::WordsFor(universe) * sizeof(uint64_t);
-  if (options.max_bitmap_bytes > 0 && universe > 0 &&
-      options.materialize_factor > 0) {
-    // Dense sets only: a bitmap pays off when |q| >= words/factor, i.e.
-    // |q| * 64 * factor >= |U|. Densest first under the byte budget.
-    std::vector<SetId> candidates;
-    for (SetId q = 0; q < n; ++q) {
-      const size_t sz = input.set(q).items.size();
-      if (sz * 64 * options.materialize_factor >= universe) {
-        candidates.push_back(q);
-      }
-    }
-    std::sort(candidates.begin(), candidates.end(), [&](SetId a, SetId b) {
-      const size_t sa = input.set(a).items.size();
-      const size_t sb = input.set(b).items.size();
-      if (sa != sb) return sa > sb;
-      return a < b;
-    });
-    for (SetId q : candidates) {
-      if (index.bitmap_bytes_ + bytes_per > options.max_bitmap_bytes) break;
-      index.container_of_[q] = static_cast<int32_t>(index.containers_.size());
-      index.containers_.push_back(HybridSet::BuildAs(
-          input.set(q).items, universe, ContainerKind::kBitmap));
-      index.bitmap_bytes_ += bytes_per;
-      ++index.num_bitmaps_;
-    }
-  }
-
-  // Sets that missed bitmap promotion (too sparse, or over budget) get a
-  // run container when their items are clumped enough that interval walks
-  // beat element merges.
-  if (options.min_run_length > 0) {
-    for (SetId q = 0; q < n; ++q) {
-      if (index.container_of_[q] >= 0) continue;
-      const ItemSet& items = input.set(q).items;
-      if (items.empty()) continue;
-      if (HybridSet::CountRuns(items) * options.min_run_length >
-          items.size()) {
-        continue;
-      }
-      index.container_of_[q] = static_cast<int32_t>(index.containers_.size());
-      index.containers_.push_back(
-          HybridSet::BuildAs(items, universe, ContainerKind::kRun));
-      ++index.num_run_sets_;
-    }
-  }
-
-  static obs::Counter* bitmaps_built =
-      obs::MetricsRegistry::Default()->GetCounter("kernel.bitmaps_built");
-  static obs::Counter* run_sets_built =
-      obs::MetricsRegistry::Default()->GetCounter("kernel.run_sets_built");
-  bitmaps_built->Increment(index.num_bitmaps_);
-  run_sets_built->Increment(index.num_run_sets_);
   return index;
-}
-
-size_t ItemSetIndex::IntersectionSize(SetId a, SetId b) const {
-  const ItemSet& sa = input_->set(a).items;
-  const ItemSet& sb = input_->set(b).items;
-  const HybridSet* ca = container(a);
-  const HybridSet* cb = container(b);
-  const BitSet* ba = ca == nullptr ? nullptr : ca->bitmap();
-  const BitSet* bb = cb == nullptr ? nullptr : cb->bitmap();
-  if (ba != nullptr && bb != nullptr &&
-      ba->num_words() <=
-          options_.words_per_merge_step * (sa.size() + sb.size())) {
-    Counters().bitset->Increment();
-    return ba->IntersectionCount(*bb);
-  }
-  // A run container pairs well with anything materialized: run×run is an
-  // interval walk, run×bitmap a CountRange per run — both cheaper than
-  // probing elements one by one.
-  if (ca != nullptr && cb != nullptr && (IsRun(ca) || IsRun(cb))) {
-    Counters().run->Increment();
-    return HybridSet::IntersectionCount(*ca, *cb);
-  }
-  const bool a_small = sa.size() <= sb.size();
-  const ItemSet& small = a_small ? sa : sb;
-  const ItemSet& large = a_small ? sb : sa;
-  const BitSet* large_bm = a_small ? bb : ba;
-  const BitSet* small_bm = a_small ? ba : bb;
-  if (large_bm != nullptr) {
-    Counters().probe->Increment();
-    return large_bm->IntersectionCount(small);
-  }
-  // Probing the large set into the small one's bitmap costs |large|; on
-  // heavy size skew the galloping merge is O(|small| log |large|) and wins
-  // (16x is the galloping threshold of ItemSet::IntersectionSize).
-  if (small_bm != nullptr && large.size() < small.size() * 16) {
-    Counters().probe->Increment();
-    return small_bm->IntersectionCount(large);
-  }
-  // Lone run container against a plain array: two-pointer over the runs.
-  if (IsRun(ca)) {
-    Counters().run->Increment();
-    return ca->IntersectionCount(sb);
-  }
-  if (IsRun(cb)) {
-    Counters().run->Increment();
-    return cb->IntersectionCount(sa);
-  }
-  Counters().merge->Increment();
-  return sa.IntersectionSize(sb);
-}
-
-bool ItemSetIndex::Intersects(SetId a, SetId b) const {
-  const ItemSet& sa = input_->set(a).items;
-  const ItemSet& sb = input_->set(b).items;
-  const HybridSet* ca = container(a);
-  const HybridSet* cb = container(b);
-  const BitSet* ba = ca == nullptr ? nullptr : ca->bitmap();
-  const BitSet* bb = cb == nullptr ? nullptr : cb->bitmap();
-  if (ba != nullptr && bb != nullptr &&
-      ba->num_words() <=
-          options_.words_per_merge_step * (sa.size() + sb.size())) {
-    Counters().bitset->Increment();
-    return ba->Intersects(*bb);
-  }
-  if (ca != nullptr && cb != nullptr && (IsRun(ca) || IsRun(cb))) {
-    Counters().run->Increment();
-    return HybridSet::Intersects(*ca, *cb);
-  }
-  const bool a_small = sa.size() <= sb.size();
-  const ItemSet& small = a_small ? sa : sb;
-  const ItemSet& large = a_small ? sb : sa;
-  const BitSet* large_bm = a_small ? bb : ba;
-  const BitSet* small_bm = a_small ? ba : bb;
-  if (large_bm != nullptr) {
-    Counters().probe->Increment();
-    return large_bm->Intersects(small);
-  }
-  if (small_bm != nullptr && large.size() < small.size() * 16) {
-    Counters().probe->Increment();
-    return small_bm->Intersects(large);
-  }
-  if (IsRun(ca)) {
-    Counters().run->Increment();
-    return ca->Intersects(sb);
-  }
-  if (IsRun(cb)) {
-    Counters().run->Increment();
-    return cb->Intersects(sa);
-  }
-  Counters().merge->Increment();
-  return sa.Intersects(sb);
-}
-
-bool ItemSetIndex::IsSubsetOf(SetId a, SetId b) const {
-  const ItemSet& sa = input_->set(a).items;
-  const ItemSet& sb = input_->set(b).items;
-  if (sa.size() > sb.size()) return false;
-  const HybridSet* ca = container(a);
-  const HybridSet* cb = container(b);
-  const BitSet* ba = ca == nullptr ? nullptr : ca->bitmap();
-  const BitSet* bb = cb == nullptr ? nullptr : cb->bitmap();
-  if (ba != nullptr && bb != nullptr &&
-      ba->num_words() <=
-          options_.words_per_merge_step * (sa.size() + sb.size())) {
-    Counters().bitset->Increment();
-    return ba->IsSubsetOf(*bb);
-  }
-  if (ca != nullptr && cb != nullptr && (IsRun(ca) || IsRun(cb))) {
-    Counters().run->Increment();
-    return HybridSet::IsSubsetOf(*ca, *cb);
-  }
-  if (bb != nullptr) {
-    Counters().probe->Increment();
-    return bb->ContainsAll(sa);
-  }
-  if (IsRun(cb)) {
-    Counters().run->Increment();
-    return cb->ContainsAll(sa);
-  }
-  Counters().merge->Increment();
-  return sa.IsSubsetOf(sb);
 }
 
 }  // namespace kernel

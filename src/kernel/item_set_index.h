@@ -1,29 +1,13 @@
-// ItemSetIndex: per-dataset acceleration index for set algebra over the
-// input sets — built once per OctInput, then shared by conflict
-// enumeration, embeddings, and any point query on pairs of input sets.
+// ItemSetIndex: per-dataset inverted index over the input sets — built once
+// per OctInput, then shared by conflict enumeration and the CCT embeddings.
 //
-// Two structures, each answering a different question:
-//
-//   1. An inverted item -> set-ids index (candidate pruning). Two sets can
-//      only conflict / attract / embed each other when they share at least
-//      one item, so any pairwise scan driven by the inverted lists touches
-//      only pairs with non-empty intersection instead of all O(n^2) pairs.
-//
-//   2. Materialized per-set hybrid containers (kernel/hybrid_set.h):
-//      dense sets get bitmaps, clumped sets get run lists, everything else
-//      stays the plain sorted array of the input. IntersectionSize /
-//      Intersects / IsSubsetOf route to whichever representation is
-//      cheapest per pair:
-//        bitset–bitset   O(|U|/64)        both bitmaps exist and the word
-//                                         count beats the merge estimate
-//        run route       O(runs)-ish      a run container intersects via
-//                                         interval walks (vs bitmap:
-//                                         CountRange per run)
-//        bitmap probe    O(min(|a|,|b|))  one side has a bitmap
-//        sorted merge    O(|a|+|b|)       fallback (galloping on skew,
-//                                         see ItemSet::IntersectionSize)
-//      The routing heuristic and its measured constants are documented in
-//      DESIGN.md §8 "Kernels" and docs/PERFORMANCE.md.
+// It maps every item to the ids of the sets containing it. Two sets can
+// only conflict / attract / embed each other when they share at least one
+// item, so any pairwise scan driven by the inverted lists (OverlapScratch,
+// kernel/pairwise.h) touches only pairs with a non-empty intersection
+// instead of all O(n^2) pairs, and counts each pair's overlap exactly on
+// the way. The per-item strict flags (ItemBound == 1) let the same walk
+// count the strict-only overlap the relaxed-bound conflict rules need.
 //
 // The index holds a pointer to the input; it must not outlive it, and the
 // input must not change while indexed (OctInput is append-only and frozen
@@ -33,78 +17,26 @@
 #define OCT_KERNEL_ITEM_SET_INDEX_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/input.h"
-#include "kernel/bitset.h"
-#include "kernel/hybrid_set.h"
 
 namespace oct {
 namespace kernel {
-
-/// Knobs of the bitmap-materialization and routing heuristics. The
-/// defaults come from the micro_benchmarks kernel section (DESIGN.md §8).
-struct ItemSetIndexOptions {
-  /// A set gets a bitmap when |q| >= words / materialize_factor, i.e. its
-  /// density is at least 1 / (64 * materialize_factor). Sparser sets never
-  /// win on the bitset path, so their bitmaps would be dead weight.
-  size_t materialize_factor = 8;
-
-  /// Crossover constant of the bitset-vs-merge routing: the AND+popcount
-  /// loop is used when words <= words_per_merge_step * (|a| + |b|) — one
-  /// merge step advances one element and costs about the same as
-  /// `words_per_merge_step` bitmap words. Measured on the reference
-  /// container (DESIGN.md §8): a merge step is ~1.25 ns and a bitmap word
-  /// 1-3 ns depending on whether the target has a hardware popcount, so 1
-  /// is the safe integer crossover.
-  size_t words_per_merge_step = 1;
-
-  /// Upper bound on total bitmap memory; the densest sets win. 0 disables
-  /// bitmaps entirely (pure candidate-pruning index).
-  size_t max_bitmap_bytes = 64u << 20;
-
-  /// Run-container promotion: a non-bitmap set gets a run container when
-  /// its maximal-run count satisfies runs * min_run_length <= |q| (average
-  /// run of at least min_run_length consecutive items). With the Run
-  /// struct at 8 bytes that also guarantees the run list is smaller than
-  /// the sorted array it replaces. 0 disables run containers.
-  size_t min_run_length = 4;
-};
 
 class ItemSetIndex {
  public:
   /// Empty index; only assignable. Use Build().
   ItemSetIndex() = default;
 
-  /// Builds the inverted index and the bitmaps for `input`.
-  static ItemSetIndex Build(const OctInput& input,
-                            const ItemSetIndexOptions& options = {});
+  /// Builds the inverted index and the strict flags for `input`.
+  static ItemSetIndex Build(const OctInput& input);
 
-  bool empty() const { return input_ == nullptr; }
   const OctInput& input() const { return *input_; }
   size_t num_sets() const { return input_->num_sets(); }
 
   /// item -> ids of the sets containing it (ascending).
   const std::vector<std::vector<SetId>>& inverted() const { return inverted_; }
-
-  /// The set's hybrid container, or nullptr when it stays a plain array.
-  const HybridSet* container(SetId q) const {
-    const int32_t slot = container_of_[q];
-    return slot < 0 ? nullptr : &containers_[slot];
-  }
-
-  /// The set's bitmap, or nullptr when not materialized — run and array
-  /// sets have none. Existing probe call sites (router, query merging)
-  /// keep working unchanged on a hybrid index.
-  const BitSet* bitmap(SetId q) const {
-    const HybridSet* c = container(q);
-    return c == nullptr ? nullptr : c->bitmap();
-  }
-
-  size_t num_bitmaps() const { return num_bitmaps_; }
-  size_t num_run_sets() const { return num_run_sets_; }
-  size_t bitmap_bytes() const { return bitmap_bytes_; }
 
   /// Per-item strict flags (ItemBound == 1), or nullptr when the input has
   /// no relaxed bounds — then every item is strict and callers can reuse
@@ -113,26 +45,9 @@ class ItemSetIndex {
     return strict_item_.empty() ? nullptr : &strict_item_;
   }
 
-  /// |a ∩ b|, routed to the cheapest representation. Always equals
-  /// input.set(a).items.IntersectionSize(input.set(b).items).
-  size_t IntersectionSize(SetId a, SetId b) const;
-
-  /// Whether a and b share an item (early-exit on every route).
-  bool Intersects(SetId a, SetId b) const;
-
-  /// Whether set a is contained in set b.
-  bool IsSubsetOf(SetId a, SetId b) const;
-
  private:
   const OctInput* input_ = nullptr;
-  ItemSetIndexOptions options_;
   std::vector<std::vector<SetId>> inverted_;
-  /// SetId -> slot in containers_, or -1 (plain array set).
-  std::vector<int32_t> container_of_;
-  std::vector<HybridSet> containers_;
-  size_t num_bitmaps_ = 0;
-  size_t num_run_sets_ = 0;
-  size_t bitmap_bytes_ = 0;
   /// Per-item ItemBound()==1 flags; empty when no relaxed bounds exist.
   std::vector<char> strict_item_;
 };

@@ -682,9 +682,6 @@ std::string ExpositionServer::RespondTo(const HttpRequest& request) const {
     // Whether perf_event_open works here — tells an operator at a glance
     // if the bench snapshots from this machine carry hardware counters.
     w.Key("perf_counters").Bool(util::PerfCounters::Supported());
-    for (const auto& [key, json] : options_.build_info) {
-      w.Key(key).Raw(json);
-    }
     w.EndObject();
     w.Key("uptime_seconds")
         .Double(static_cast<double>(TraceNowNanos() - start_ns_) * 1e-9);

@@ -111,12 +111,6 @@ struct ExpositionOptions {
   /// {"serving":{...}}-style content without the outer braces is NOT
   /// expected — return a complete object; it is spliced under "app").
   std::function<std::string()> status_json;
-  /// Extra fields spliced into the /statusz "build" object: key -> raw
-  /// JSON value (already serialized, e.g. {"kernel_isa", "\"avx2\""}).
-  /// Lets layers above obs (the serving stack) report build-level facts —
-  /// obs itself must not depend on them. Keys must not collide with the
-  /// built-ins (compiler, assertions, failpoints, perf_counters).
-  std::vector<std::pair<std::string, std::string>> build_info;
   /// Application GET endpoints beyond the built-ins, matched on exact
   /// path after the built-ins. Handlers return a *complete* HTTP response
   /// (use MakeHttpResponse) and must be thread-safe — they run on handler

@@ -151,11 +151,10 @@ TailSampler* TailSampler::Global() {
   return g_tail_sampler.load(std::memory_order_acquire);
 }
 
-TraceContext StartRequestTrace(uint64_t deadline_ns) {
+TraceContext StartRequestTrace() {
   TraceContext ctx;
   ctx.trace_id = internal::NextTraceId();
   ctx.span_id = 0;
-  ctx.deadline_ns = deadline_ns;
   TailSampler* sampler = TailSampler::Global();
   ctx.sampled = sampler != nullptr;
   if (sampler != nullptr) sampler->StartTrace(ctx.trace_id);

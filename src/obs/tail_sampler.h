@@ -10,7 +10,7 @@
 //   TailSampler sampler(opts);
 //   TailSampler::InstallGlobal(&sampler);
 //   ...
-//   obs::TraceContext ctx = obs::StartRequestTrace(deadline_ns);
+//   obs::TraceContext ctx = obs::StartRequestTrace();
 //   { obs::TraceContextScope scope(ctx);  /* spans record pending */ }
 //   obs::TraceFinish fin; fin.total_us = ...; fin.shed = ...;
 //   obs::FinishRequestTrace(ctx, fin);    // promote or discard
@@ -145,7 +145,7 @@ class TailSampler {
 /// TailSampler is installed the context is marked sampled and a pending
 /// trace is opened; otherwise the context still carries a trace id (spans
 /// tag it when tracing is enabled) but nothing is buffered.
-TraceContext StartRequestTrace(uint64_t deadline_ns = 0);
+TraceContext StartRequestTrace();
 
 /// Completion helper: routes the verdict to the installed sampler (no-op
 /// when none, or when `ctx` is invalid). Returns true when the trace was

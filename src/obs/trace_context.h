@@ -10,7 +10,7 @@
 // crossed.
 //
 //   // ingress
-//   obs::TraceContext ctx = obs::StartRequestTrace(deadline_ns);
+//   obs::TraceContext ctx = obs::StartRequestTrace();
 //   obs::TraceContextScope scope(ctx);      // install on this thread
 //   ...
 //   // handoff: capture obs::CurrentTraceContext() into the queue item,
@@ -44,9 +44,6 @@ struct TraceContext {
   uint64_t span_id = 0;
   /// Tail-sampling decision: record spans into the pending buffer.
   bool sampled = false;
-  /// Absolute deadline in TraceNowNanos() time; 0 = none. Carried for
-  /// cross-thread deadline visibility, not enforced here (CancelToken is).
-  uint64_t deadline_ns = 0;
 
   bool valid() const { return trace_id != 0; }
 };

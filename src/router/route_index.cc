@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "kernel/bitset.h"
 #include "kernel/pairwise.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,8 +13,7 @@ namespace oct {
 namespace router {
 
 std::shared_ptr<const RouteIndex> RouteIndex::Build(
-    std::shared_ptr<const serve::TreeSnapshot> snapshot,
-    const kernel::ItemSetIndexOptions& options) {
+    std::shared_ptr<const serve::TreeSnapshot> snapshot) {
   OCT_CHECK(snapshot != nullptr);
   OCT_SPAN("router/index_build");
   Timer timer;
@@ -23,28 +21,52 @@ std::shared_ptr<const RouteIndex> RouteIndex::Build(
   index->snapshot_ = std::move(snapshot);
 
   const CategoryTree& tree = index->snapshot_->tree();
-  std::vector<ItemSet> node_sets = tree.ComputeItemSets();
+  index->node_sets_ = tree.ComputeItemSets();
+  const std::vector<ItemSet>& sets = index->node_sets_;
+  const size_t n = sets.size();
 
   // Universe: snapshot trees carry the original (dense) item ids, so the
   // universe is one past the largest placed item. The root's full set is
   // the union of everything placed.
-  size_t universe = 0;
-  if (!node_sets.empty() && !node_sets[tree.root()].empty()) {
-    universe = static_cast<size_t>(node_sets[tree.root()].items().back()) + 1;
+  if (n > 0 && !sets[tree.root()].empty()) {
+    index->universe_ =
+        static_cast<size_t>(sets[tree.root()].items().back()) + 1;
   }
-  index->node_input_.set_universe_size(universe);
-  for (size_t n = 0; n < node_sets.size(); ++n) {
-    index->node_input_.Add(std::move(node_sets[n]), /*weight=*/1.0,
-                           tree.node(static_cast<NodeId>(n)).label);
+
+  // Bitmaps for the dense node sets only, densest first under the byte cap.
+  index->bitmap_of_.assign(n, -1);
+  const size_t universe = index->universe_;
+  if (universe > 0) {
+    std::vector<NodeId> dense;
+    for (NodeId node = 0; node < n; ++node) {
+      if (sets[node].size() * 64 * kBitmapDensityFactor >= universe) {
+        dense.push_back(node);
+      }
+    }
+    std::sort(dense.begin(), dense.end(), [&](NodeId a, NodeId b) {
+      if (sets[a].size() != sets[b].size()) {
+        return sets[a].size() > sets[b].size();
+      }
+      return a < b;
+    });
+    const size_t max_bitmaps =
+        kMaxBitmapBytes /
+        (kernel::BitSet::WordsFor(universe) * sizeof(uint64_t));
+    if (dense.size() > max_bitmaps) dense.resize(max_bitmaps);
+    index->bitmaps_.reserve(dense.size());
+    for (NodeId node : dense) {
+      index->bitmap_of_[node] = static_cast<int32_t>(index->bitmaps_.size());
+      index->bitmaps_.emplace_back(universe);
+      index->bitmaps_.back().SetAll(sets[node]);
+    }
   }
-  index->index_ = kernel::ItemSetIndex::Build(index->node_input_, options);
 
   // Subtree node counts (itself included) in one post-order pass — the
   // "how much did pruning skip" accounting of ScoreTopK.
-  index->subtree_nodes_.assign(index->node_input_.num_sets(), 1);
-  for (NodeId n : tree.PostOrder()) {
-    for (NodeId child : tree.node(n).children) {
-      index->subtree_nodes_[n] += index->subtree_nodes_[child];
+  index->subtree_nodes_.assign(n, 1);
+  for (NodeId node : tree.PostOrder()) {
+    for (NodeId child : tree.node(node).children) {
+      index->subtree_nodes_[node] += index->subtree_nodes_[child];
     }
   }
 
@@ -57,9 +79,9 @@ std::shared_ptr<const RouteIndex> RouteIndex::Build(
 }
 
 size_t RouteIndex::Overlap(const ItemSet& query, NodeId node) const {
-  const kernel::BitSet* bitmap = index_.bitmap(node);
-  if (bitmap != nullptr) return bitmap->IntersectionCount(query);
-  return node_input_.set(node).items.IntersectionSize(query);
+  const int32_t slot = bitmap_of_[node];
+  if (slot >= 0) return bitmaps_[slot].IntersectionCount(query);
+  return node_sets_[node].IntersectionSize(query);
 }
 
 ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
@@ -70,7 +92,7 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
   OCT_SPAN("router/score");
   ScoreStats stats;
   out->clear();
-  if (query.empty() || node_input_.num_sets() == 0) return stats;
+  if (query.empty() || node_sets_.empty()) return stats;
 
   // Queries come from the live engine; the tree's item universe can lag it
   // (items added after the last rebuild). Items outside the universe cannot
@@ -78,11 +100,10 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
   // by item id and must stay in bounds — while Jaccard keeps the full |q|.
   const ItemSet* probe = &query;
   ItemSet clipped;
-  if (static_cast<size_t>(query.items().back()) >=
-      node_input_.universe_size()) {
+  if (static_cast<size_t>(query.items().back()) >= universe_) {
     std::vector<ItemId> in_universe;
     for (ItemId id : query.items()) {
-      if (static_cast<size_t>(id) < node_input_.universe_size()) {
+      if (static_cast<size_t>(id) < universe_) {
         in_universe.push_back(id);
       } else {
         break;  // Sorted: everything after is out of universe too.

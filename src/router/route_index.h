@@ -2,10 +2,11 @@
 // once when a TreeSnapshot is installed, it turns "which categories does
 // this result set belong to?" into a pruned root-to-leaf descent:
 //
-//   - Every tree node's *full* item set (direct items plus descendants)
-//     becomes one candidate set of an OctInput, and a kernel::ItemSetIndex
-//     over those sets supplies density-gated bitmaps so a query probe costs
-//     O(|q|) per visited node instead of a sorted merge.
+//   - Every tree node's *full* item set (direct items plus descendants) is
+//     materialized once. Dense node sets also get a bitmap, so a query
+//     probe costs O(|q|) bit tests per visited node instead of a sorted
+//     merge. The descent is the only reader of these bitmaps, so the rule
+//     that picks them (kBitmapDensityFactor, kMaxBitmapBytes) lives here.
 //   - Scoring descends from the root. Node item sets are nested (a child's
 //     set is a subset of its parent's), so |q ∩ child| <= |q ∩ node|: once a
 //     node's overlap falls below the prefix-filter bound
@@ -14,8 +15,8 @@
 //
 // The index pins the snapshot it was built from (shared_ptr), so results
 // computed against it stay valid even while TreeStore publishes newer
-// versions — the router pins one RouteIndex per *batch*, which is what
-// makes a batch's answers mutually consistent under concurrent publishes.
+// versions — each request pins one RouteIndex, which keeps its answer
+// consistent under concurrent publishes.
 
 #ifndef OCT_ROUTER_ROUTE_INDEX_H_
 #define OCT_ROUTER_ROUTE_INDEX_H_
@@ -24,10 +25,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/input.h"
 #include "core/item_set.h"
 #include "fault/cancel.h"
-#include "kernel/item_set_index.h"
+#include "kernel/bitset.h"
 #include "serve/tree_snapshot.h"
 
 namespace oct {
@@ -59,11 +59,18 @@ struct ScoreStats {
 
 class RouteIndex {
  public:
+  /// A node set gets a bitmap when |S| * 64 * kBitmapDensityFactor >= U,
+  /// i.e. when it holds at least one item per kBitmapDensityFactor bitmap
+  /// words. Sparser sets are probed by sorted merge.
+  static constexpr size_t kBitmapDensityFactor = 8;
+  /// Upper bound on total bitmap memory per index; the densest node sets
+  /// get bitmaps first.
+  static constexpr size_t kMaxBitmapBytes = size_t{64} << 20;
+
   /// Builds the scoring index for `snapshot` (must be non-null). The
   /// snapshot is pinned for the index's lifetime.
   static std::shared_ptr<const RouteIndex> Build(
-      std::shared_ptr<const serve::TreeSnapshot> snapshot,
-      const kernel::ItemSetIndexOptions& options = {});
+      std::shared_ptr<const serve::TreeSnapshot> snapshot);
 
   RouteIndex(const RouteIndex&) = delete;
   RouteIndex& operator=(const RouteIndex&) = delete;
@@ -78,18 +85,19 @@ class RouteIndex {
   double build_seconds() const { return build_seconds_; }
 
   /// Number of candidate categories (== alive tree nodes, root included).
-  size_t num_nodes() const { return node_input_.num_sets(); }
+  size_t num_nodes() const { return node_sets_.size(); }
+
+  /// Node sets probed through a bitmap; the rest are probed by merge.
+  size_t num_bitmaps() const { return bitmaps_.size(); }
 
   /// Full item-set size of a node.
-  size_t node_size(NodeId node) const {
-    return node_input_.set(node).items.size();
-  }
+  size_t node_size(NodeId node) const { return node_sets_[node].size(); }
 
   /// Scores every category whose Jaccard against `query` can reach
   /// `min_jaccard`, descending root→leaf with subtree pruning, and returns
   /// the `top_k` best in `out` — sorted by Jaccard descending, then deeper
   /// node first, then NodeId ascending (a deterministic total order; the
-  /// serial oracle and the batched path produce identical rankings). The
+  /// serial oracle and Router::Route produce identical rankings). The
   /// root itself is never a result (routing to "everything" is not an
   /// answer), but it participates in pruning.
   ///
@@ -102,19 +110,22 @@ class RouteIndex {
                        std::vector<NodeScore>* out,
                        size_t max_nodes = 0) const;
 
-  /// |q ∩ node| routed to the cheapest representation (bitmap probe when
-  /// the node's set was materialized, sorted merge otherwise).
+  /// |q ∩ node|: a bitmap probe when the node's set has a bitmap, a sorted
+  /// merge otherwise. Items of `query` must be inside the universe.
   size_t Overlap(const ItemSet& query, NodeId node) const;
 
  private:
   RouteIndex() = default;
 
   std::shared_ptr<const serve::TreeSnapshot> snapshot_;
-  /// One candidate set per tree node: the node's full item set, labeled
-  /// with the node's label. SetId i == NodeId i (snapshot trees are
+  /// Every node's full item set, indexed by NodeId (snapshot trees are
   /// compacted, so node ids are dense).
-  OctInput node_input_;
-  kernel::ItemSetIndex index_;
+  std::vector<ItemSet> node_sets_;
+  /// One past the largest placed item: the bitmaps' universe.
+  size_t universe_ = 0;
+  /// NodeId -> slot in bitmaps_, or -1 (probed by merge).
+  std::vector<int32_t> bitmap_of_;
+  std::vector<kernel::BitSet> bitmaps_;
   /// Nodes in each node's subtree (itself included) — pruning accounting.
   std::vector<uint32_t> subtree_nodes_;
   double build_seconds_ = 0.0;

@@ -71,7 +71,7 @@ std::shared_ptr<const RouteIndex> Router::CurrentIndex() const {
   // Build outside the lock: concurrent callers may both build on a version
   // flip (rare — once per publish), but neither blocks routing meanwhile.
   std::shared_ptr<const RouteIndex> built =
-      RouteIndex::Build(std::move(snapshot), options_.index_options);
+      RouteIndex::Build(std::move(snapshot));
   std::lock_guard<std::mutex> lock(index_mu_);
   if (index_cache_ == nullptr || built->version() >= index_cache_->version()) {
     index_cache_ = built;
@@ -89,12 +89,7 @@ RouteResult Router::Route(const RouteRequest& request) {
   // and finishes here, so they still get span trees and tail sampling.
   obs::TraceContext trace = obs::CurrentTraceContext();
   const bool own_trace = !trace.valid();
-  if (own_trace) {
-    trace = obs::StartRequestTrace(
-        budget > 0.0 ? obs::TraceNowNanos() +
-                           static_cast<uint64_t>(budget * 1e9)
-                     : 0);
-  }
+  if (own_trace) trace = obs::StartRequestTrace();
   RouteResult result;
   if (!running()) {
     result.status = Status::FailedPrecondition("router: not running");

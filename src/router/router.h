@@ -4,7 +4,7 @@
 // comes in, its result set is resolved through the data::SearchEngine
 // substrate, and the result set is scored against every candidate category
 // of the *current* serve::TreeSnapshot via a per-snapshot RouteIndex
-// (kernel::ItemSetIndex bitmaps + prefix-filter pruned root→leaf descent).
+// (node-set bitmaps + prefix-filter pruned root→leaf descent).
 // The answer is a ranked list of category paths.
 //
 // Serving shape: Route() resolves and scores on the caller's thread (for
@@ -34,7 +34,6 @@
 
 #include "data/search_engine.h"
 #include "fault/cancel.h"
-#include "kernel/item_set_index.h"
 #include "router/route_index.h"
 #include "router/router_stats.h"
 #include "serve/tree_store.h"
@@ -55,8 +54,6 @@ struct RouterOptions {
   double min_jaccard = 0.05;
   /// Relevance threshold for result-set resolution (the paper's 0.8).
   double relevance_threshold = 0.8;
-  /// Passed through to RouteIndex::Build at snapshot install.
-  kernel::ItemSetIndexOptions index_options;
 };
 
 struct RouteRequest {

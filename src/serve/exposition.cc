@@ -8,7 +8,6 @@
 
 #include "data/datasets.h"
 #include "delta/maintainer.h"
-#include "kernel/simd_dispatch.h"
 #include "obs/export.h"
 #include "obs/slo.h"
 #include "obs/slow_log.h"
@@ -72,14 +71,6 @@ ServingExposition::ServingExposition(const TreeStore* store,
        [this](const obs::HttpRequest& request) {
          return HandleStoreRecord(request);
        }});
-  // Which SIMD tier the kernels dispatched to — build-level fact for
-  // /statusz (obs stays kernel-free; the serving stack sits above both).
-  // Resolving the tier here also publishes the kernel.isa_tier and
-  // kernel.perf_counters_available gauges for /varz before first scrape.
-  server_options.build_info.push_back(
-      {"kernel_isa",
-       "\"" + std::string(kernel::IsaTierName(kernel::ActiveIsaTier())) +
-           "\""});
   server_options.health = [this] { return Health(); };
   server_options.status_json = [this] { return StatusJson(); };
   server_ = std::make_unique<obs::ExpositionServer>(std::move(server_options));
@@ -268,14 +259,8 @@ std::string ServingExposition::HandleRoute(
   // ambient context (so it will not mint one of its own) and the finish
   // verdict below includes response-serialization time the router never
   // sees. Early parse errors above deliberately predate the trace — a
-  // malformed query is a client problem, not a tail-latency event. The
-  // deadline is at most a day, so the nanosecond arithmetic stays in range.
-  uint64_t deadline_ns = 0;
-  if (route_request.deadline_seconds > 0) {
-    deadline_ns = obs::TraceNowNanos() +
-                  static_cast<uint64_t>(route_request.deadline_seconds * 1e9);
-  }
-  const obs::TraceContext trace = obs::StartRequestTrace(deadline_ns);
+  // malformed query is a client problem, not a tail-latency event.
+  const obs::TraceContext trace = obs::StartRequestTrace();
   Timer request_timer;
   router::RouteResult result;
   {

@@ -325,7 +325,6 @@ TEST(ExpositionServer, ServesEveryEndpointOnLoopback) {
     return HealthReport{healthy, healthy ? "fine" : "broken"};
   };
   options.status_json = [] { return std::string("{\"k\":1}"); };
-  options.build_info.push_back({"test_build_fact", "\"v7\""});
   ExpositionServer server(options);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
@@ -357,10 +356,8 @@ TEST(ExpositionServer, ServesEveryEndpointOnLoopback) {
   ASSERT_TRUE(statusz.ok());
   EXPECT_NE(statusz->find("\"uptime_seconds\""), std::string::npos);
   EXPECT_NE(statusz->find("\"app\":{\"k\":1}"), std::string::npos);
-  // The build object always says whether hardware counters work here, and
-  // splices caller-provided build facts (the serving stack adds kernel_isa).
+  // The build object always says whether hardware counters work here.
   EXPECT_NE(statusz->find("\"perf_counters\":"), std::string::npos);
-  EXPECT_NE(statusz->find("\"test_build_fact\":\"v7\""), std::string::npos);
 
   auto missing = HttpGetLocal(server.port(), "/nope");
   ASSERT_TRUE(missing.ok());

@@ -1,9 +1,8 @@
-// Property / equivalence tests for oct::kernel: BitSet vs the merge-based
-// ItemSet algebra, the SIMD dispatch tiers vs the scalar oracle, HybridSet
-// containers vs brute force, ItemSetIndex routing, the OverlapScratch
-// pairwise scan vs brute force, the prefix-filter bounds, the condensed
-// distance kernel vs the serial Embeddings::Distance oracle, and
-// end-to-end conflict / CCT equivalence with the index on vs off.
+// Property / equivalence tests for oct::kernel: BitSet probes vs the
+// merge-based ItemSet intersection, the ItemSetIndex inverted lists, the
+// OverlapScratch pairwise scan vs brute force, the prefix-filter bounds,
+// the condensed distance kernel vs the serial Embeddings::Distance oracle,
+// and end-to-end conflict / CCT equivalence with the index on vs off.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +16,9 @@
 #include "ctcr/conflicts.h"
 #include "data/datasets.h"
 #include "kernel/bitset.h"
-#include "kernel/hybrid_set.h"
 #include "kernel/item_set_index.h"
 #include "kernel/pairwise.h"
 #include "kernel/scratch.h"
-#include "kernel/simd_dispatch.h"
 #include "kernel/union_find.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -87,54 +84,14 @@ OctInput RandomInput(size_t universe, size_t num_sets, size_t avg_size,
   return input;
 }
 
-TEST(BitSet, SetTestCountBoundaries) {
-  BitSet b(65);  // One full word plus one spill bit.
-  EXPECT_EQ(b.num_words(), 2u);
-  EXPECT_EQ(b.Count(), 0u);
-  b.Set(0);
-  b.Set(63);
-  b.Set(64);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(63));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_FALSE(b.Test(65));   // Out of universe: false, not UB.
-  EXPECT_FALSE(b.Test(999));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Clear();
-  EXPECT_EQ(b.Count(), 0u);
-  EXPECT_EQ(b.universe_size(), 65u);
-}
-
-TEST(BitSet, MatchesItemSetAlgebraOnCorpus) {
+TEST(BitSet, ProbeCountMatchesMergeOnCorpus) {
   for (const size_t universe : {64u, 65u, 1000u}) {
     const std::vector<ItemSet> sets = Corpus(universe, 7 + universe);
     for (const ItemSet& a : sets) {
       BitSet ba(universe);
-      ba.AssignFrom(a);
-      EXPECT_EQ(ba.Count(), a.size());
-      EXPECT_EQ(ba.ToItemSet(), a);  // Round-trip is exact.
+      ba.SetAll(a);
       for (const ItemSet& b : sets) {
-        BitSet bb(universe);
-        bb.AssignFrom(b);
-        const size_t inter = a.IntersectionSize(b);
-        // Counting: word-parallel and probe forms agree with the merge.
-        EXPECT_EQ(ba.IntersectionCount(bb), inter);
-        EXPECT_EQ(ba.IntersectionCount(b), inter);
-        EXPECT_EQ(ba.Intersects(bb), a.Intersects(b));
-        EXPECT_EQ(ba.Intersects(b), a.Intersects(b));
-        EXPECT_EQ(ba.IsSubsetOf(bb), a.IsSubsetOf(b));
-        EXPECT_EQ(ba.ContainsAll(b), b.IsSubsetOf(a));
-        // In-place algebra against the merge-based reference.
-        BitSet u = ba;
-        u.UnionInPlace(bb);
-        EXPECT_EQ(u.ToItemSet(), a.Union(b));
-        BitSet i = ba;
-        i.IntersectInPlace(bb);
-        EXPECT_EQ(i.ToItemSet(), a.Intersect(b));
-        BitSet d = ba;
-        d.DifferenceInPlace(bb);
-        EXPECT_EQ(d.ToItemSet(), a.Difference(b));
+        EXPECT_EQ(ba.IntersectionCount(b), a.IntersectionSize(b));
       }
     }
   }
@@ -150,7 +107,8 @@ TEST(BitSet, SetAllClearAllRestoreScratchInvariant) {
       EXPECT_EQ(scratch.IntersectionCount(b), a.IntersectionSize(b));
     }
     scratch.ClearAll(a);
-    EXPECT_EQ(scratch.Count(), 0u);  // O(|a|) reset leaves all-zero.
+    // O(|a|) reset leaves all-zero.
+    EXPECT_EQ(scratch.IntersectionCount(FullSet(universe)), 0u);
   }
 }
 
@@ -184,42 +142,6 @@ TEST(ItemSetIndex, InvertedListsAreExactAndSorted) {
       EXPECT_EQ(listed, input.set(q).items.Contains(item));
     }
   }
-}
-
-TEST(ItemSetIndex, RoutingMatchesItemSetOnEveryPair) {
-  const OctInput input = RandomInput(800, 50, 80, 5);
-  // Three routing regimes: no bitmaps (pure merge), default heuristic
-  // (mixed), and bitmaps for everything (bitset-bitset everywhere).
-  ItemSetIndexOptions none;
-  none.max_bitmap_bytes = 0;
-  ItemSetIndexOptions all;
-  all.materialize_factor = 1u << 20;
-  const ItemSetIndex idx_none = ItemSetIndex::Build(input, none);
-  const ItemSetIndex idx_default = ItemSetIndex::Build(input);
-  const ItemSetIndex idx_all = ItemSetIndex::Build(input, all);
-  EXPECT_EQ(idx_none.num_bitmaps(), 0u);
-  EXPECT_EQ(idx_all.num_bitmaps(), input.num_sets());
-  for (const ItemSetIndex* idx : {&idx_none, &idx_default, &idx_all}) {
-    for (SetId a = 0; a < input.num_sets(); ++a) {
-      for (SetId b = 0; b < input.num_sets(); ++b) {
-        const ItemSet& sa = input.set(a).items;
-        const ItemSet& sb = input.set(b).items;
-        ASSERT_EQ(idx->IntersectionSize(a, b), sa.IntersectionSize(sb));
-        ASSERT_EQ(idx->Intersects(a, b), sa.Intersects(sb));
-        ASSERT_EQ(idx->IsSubsetOf(a, b), sa.IsSubsetOf(sb));
-      }
-    }
-  }
-}
-
-TEST(ItemSetIndex, BitmapByteBudgetIsRespected) {
-  const OctInput input = RandomInput(4096, 40, 600, 9);
-  ItemSetIndexOptions opts;
-  opts.materialize_factor = 1u << 20;       // Everyone qualifies...
-  opts.max_bitmap_bytes = 3 * BitSet::WordsFor(4096) * sizeof(uint64_t);
-  const ItemSetIndex index = ItemSetIndex::Build(input, opts);
-  EXPECT_EQ(index.num_bitmaps(), 3u);       // ...but only three fit.
-  EXPECT_LE(index.bitmap_bytes(), opts.max_bitmap_bytes);
 }
 
 TEST(OverlapScratch, PartnersMatchBruteForce) {
@@ -408,324 +330,6 @@ TEST(CctEquivalence, TreeIdenticalIndexOnOff) {
   const cct::CctResult a = cct::BuildCategoryTree(input, sim, plain);
   const cct::CctResult b = cct::BuildCategoryTree(input, sim, tuned);
   EXPECT_EQ(SerializeTree(a.tree), SerializeTree(b.tree));
-}
-
-/// Every IsaTier this CPU can run, scalar first.
-std::vector<IsaTier> SupportedTiers() {
-  std::vector<IsaTier> tiers = {IsaTier::kScalar};
-  if (IsaTierSupported(IsaTier::kAvx2)) tiers.push_back(IsaTier::kAvx2);
-  if (IsaTierSupported(IsaTier::kAvx512)) tiers.push_back(IsaTier::kAvx512);
-  return tiers;
-}
-
-/// Restores the entry tier on scope exit so forced-tier tests cannot leak
-/// a tier into later tests (every tier is exact, but tests should not
-/// depend on run order for which one they exercise).
-class TierGuard {
- public:
-  TierGuard() : entry_(ActiveIsaTier()) {}
-  ~TierGuard() { EXPECT_TRUE(ForceIsaTier(entry_).ok()); }
-
- private:
-  IsaTier entry_;
-};
-
-TEST(SimdDispatch, TierNamesParseAndRoundTrip) {
-  for (IsaTier tier :
-       {IsaTier::kScalar, IsaTier::kAvx2, IsaTier::kAvx512}) {
-    const Result<IsaTier> parsed = ParseIsaTier(IsaTierName(tier));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, tier);
-  }
-  EXPECT_FALSE(ParseIsaTier("sse9").ok());
-  EXPECT_FALSE(ParseIsaTier("").ok());
-}
-
-TEST(SimdDispatch, ScalarAlwaysSupportedAndHighestIsCoherent) {
-  EXPECT_TRUE(IsaTierSupported(IsaTier::kScalar));
-  const IsaTier highest = HighestSupportedIsaTier();
-  EXPECT_TRUE(IsaTierSupported(highest));
-  // Everything at or below the highest tier must also be forceable.
-  for (IsaTier tier : SupportedTiers()) {
-    EXPECT_TRUE(ForceIsaTier(tier).ok()) << IsaTierName(tier);
-    EXPECT_EQ(ActiveIsaTier(), tier);
-  }
-  // Unsupported tiers must be rejected, not silently clamped.
-  for (IsaTier tier :
-       {IsaTier::kScalar, IsaTier::kAvx2, IsaTier::kAvx512}) {
-    if (!IsaTierSupported(tier)) {
-      EXPECT_FALSE(ForceIsaTier(tier).ok()) << IsaTierName(tier);
-    }
-  }
-  ASSERT_TRUE(ForceIsaTier(HighestSupportedIsaTier()).ok());
-}
-
-TEST(SimdDispatch, AllTiersBitIdenticalToScalarOnRawWords) {
-  // Word arrays hitting the vector bodies and the scalar tails: sizes
-  // straddle the 4-word (AVX2) and 8-word (AVX-512) strides, and the
-  // patterns include all-zeros, all-ones, single bits, and dense noise.
-  Rng rng(1234);
-  std::vector<std::vector<uint64_t>> arrays;
-  for (const size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 31u, 64u, 70u}) {
-    std::vector<uint64_t> noise(n), ones(n, ~uint64_t{0}), zeros(n, 0);
-    for (auto& w : noise) w = rng.Next();
-    std::vector<uint64_t> single(n, 0);
-    if (n > 0) single[n / 2] = uint64_t{1} << (n % 64);
-    arrays.push_back(std::move(noise));
-    arrays.push_back(std::move(ones));
-    arrays.push_back(std::move(zeros));
-    arrays.push_back(std::move(single));
-  }
-
-  TierGuard guard;
-  for (const auto& a : arrays) {
-    for (const auto& b : arrays) {
-      if (a.size() != b.size()) continue;
-      const size_t n = a.size();
-      // Scalar oracle first...
-      ASSERT_TRUE(ForceIsaTier(IsaTier::kScalar).ok());
-      const size_t pop = PopcountWords(a.data(), n);
-      const size_t and_pop = AndPopcountWords(a.data(), b.data(), n);
-      const bool any = AndAnyWords(a.data(), b.data(), n);
-      const bool subset = AndNotNoneWords(a.data(), b.data(), n);
-      // ...then every supported SIMD tier must reproduce it exactly.
-      for (IsaTier tier : SupportedTiers()) {
-        ASSERT_TRUE(ForceIsaTier(tier).ok());
-        EXPECT_EQ(PopcountWords(a.data(), n), pop) << IsaTierName(tier);
-        EXPECT_EQ(AndPopcountWords(a.data(), b.data(), n), and_pop)
-            << IsaTierName(tier);
-        EXPECT_EQ(AndAnyWords(a.data(), b.data(), n), any)
-            << IsaTierName(tier);
-        EXPECT_EQ(AndNotNoneWords(a.data(), b.data(), n), subset)
-            << IsaTierName(tier);
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, BitSetAlgebraBitIdenticalAcrossTiers) {
-  // The same corpus property test as BitSet.MatchesItemSetAlgebraOnCorpus,
-  // but forced through each dispatch tier: intersection counts, probes,
-  // and subset checks must be bit-identical to the merge everywhere.
-  TierGuard guard;
-  for (IsaTier tier : SupportedTiers()) {
-    ASSERT_TRUE(ForceIsaTier(tier).ok());
-    for (const size_t universe : {64u, 65u, 1000u}) {
-      const std::vector<ItemSet> sets = Corpus(universe, 41 + universe);
-      for (const ItemSet& a : sets) {
-        BitSet ba(universe);
-        ba.AssignFrom(a);
-        ASSERT_EQ(ba.Count(), a.size()) << IsaTierName(tier);
-        for (const ItemSet& b : sets) {
-          BitSet bb(universe);
-          bb.AssignFrom(b);
-          ASSERT_EQ(ba.IntersectionCount(bb), a.IntersectionSize(b))
-              << IsaTierName(tier);
-          ASSERT_EQ(ba.Intersects(bb), a.Intersects(b)) << IsaTierName(tier);
-          ASSERT_EQ(ba.IsSubsetOf(bb), a.IsSubsetOf(b)) << IsaTierName(tier);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, CondensedDistancesIdenticalAcrossTiers) {
-  // The distance kernel does not touch the popcount table, but the full
-  // embedding pipeline above it routes intersections through the index;
-  // the end result must not depend on the tier.
-  const OctInput input = RandomInput(600, 40, 35, 47);
-  const Similarity sim(Variant::kJaccardThreshold, 0.8);
-  TierGuard guard;
-  std::vector<float> scalar_dist;
-  for (IsaTier tier : SupportedTiers()) {
-    ASSERT_TRUE(ForceIsaTier(tier).ok());
-    const ItemSetIndex index = ItemSetIndex::Build(input);
-    const cct::Embeddings emb = cct::EmbedInputSets(input, sim, &index);
-    const std::vector<float> dist = CondensedEuclideanDistances(
-        emb.rows(), emb.squared_norms(), nullptr);
-    if (tier == IsaTier::kScalar) {
-      scalar_dist = dist;
-    } else {
-      ASSERT_EQ(dist, scalar_dist) << IsaTierName(tier);
-    }
-  }
-  ASSERT_FALSE(scalar_dist.empty());
-}
-
-/// A clumped set: `runs` blocks of `run_len` consecutive items each.
-ItemSet ClumpedSet(size_t universe, size_t runs, size_t run_len,
-                   uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ItemId> items;
-  for (size_t r = 0; r < runs; ++r) {
-    const size_t start = rng.NextBelow(universe - run_len);
-    for (size_t i = 0; i < run_len; ++i) {
-      items.push_back(static_cast<ItemId>(start + i));
-    }
-  }
-  return ItemSet(std::move(items));
-}
-
-TEST(HybridSet, CountRunsMatchesDefinition) {
-  EXPECT_EQ(HybridSet::CountRuns(ItemSet()), 0u);
-  EXPECT_EQ(HybridSet::CountRuns(ItemSet({5})), 1u);
-  EXPECT_EQ(HybridSet::CountRuns(ItemSet({1, 2, 3})), 1u);
-  EXPECT_EQ(HybridSet::CountRuns(ItemSet({1, 3, 5})), 3u);
-  EXPECT_EQ(HybridSet::CountRuns(ItemSet({0, 1, 2, 9, 10, 20})), 3u);
-}
-
-TEST(HybridSet, BuildPicksContainersByShape) {
-  const size_t universe = 4096;
-  // Dense: half the universe set -> bitmap.
-  Rng rng(53);
-  const ItemSet dense = RandomSet(&rng, universe, universe / 2);
-  EXPECT_EQ(HybridSet::Build(dense, universe).kind(), ContainerKind::kBitmap);
-  // Clumped but sparse: a few long runs -> run container.
-  const ItemSet clumped = ClumpedSet(universe, 4, 32, 59);
-  EXPECT_EQ(HybridSet::Build(clumped, universe).kind(), ContainerKind::kRun);
-  // Sparse scattered -> stays an array.
-  const ItemSet sparse = ItemSet({3, 77, 500, 1999});
-  EXPECT_EQ(HybridSet::Build(sparse, universe).kind(), ContainerKind::kArray);
-  // Options gate the promotions.
-  HybridSetOptions no_promo;
-  no_promo.allow_bitmap = false;
-  no_promo.allow_run = false;
-  EXPECT_EQ(HybridSet::Build(dense, universe, no_promo).kind(),
-            ContainerKind::kArray);
-  EXPECT_EQ(HybridSet::Build(clumped, universe, no_promo).kind(),
-            ContainerKind::kArray);
-}
-
-TEST(HybridSet, ConversionRoundTripsLosslesslyAcrossAllKinds) {
-  const size_t universe = 1000;
-  const std::vector<ItemSet> sets = Corpus(universe, 61);
-  const ContainerKind kinds[] = {ContainerKind::kArray,
-                                 ContainerKind::kBitmap, ContainerKind::kRun};
-  for (const ItemSet& s : sets) {
-    for (ContainerKind from : kinds) {
-      const HybridSet h = HybridSet::BuildAs(s, universe, from);
-      EXPECT_EQ(h.kind(), from);
-      EXPECT_EQ(h.size(), s.size());
-      EXPECT_EQ(h.ToItemSet(), s);  // Exact round-trip from every kind.
-      EXPECT_GT(h.SizeBytes() + 1, 0u);
-      // Membership agrees with the model on present and absent ids.
-      for (ItemId id : {ItemId{0}, ItemId{63}, ItemId{64},
-                        static_cast<ItemId>(universe - 1)}) {
-        EXPECT_EQ(h.Test(id), s.Contains(id)) << ContainerKindName(from);
-      }
-      for (ItemId id : s) {
-        ASSERT_TRUE(h.Test(id)) << ContainerKindName(from);
-      }
-      // Promotion/demotion: every destination kind preserves the set.
-      for (ContainerKind to : kinds) {
-        const HybridSet converted = h.ConvertTo(to);
-        EXPECT_EQ(converted.kind(), to);
-        ASSERT_EQ(converted.ToItemSet(), s)
-            << ContainerKindName(from) << " -> " << ContainerKindName(to);
-      }
-    }
-  }
-}
-
-TEST(HybridSet, CrossKindOpsMatchMergeOracleOnAllNineCombos) {
-  const size_t universe = 1000;
-  std::vector<ItemSet> sets = Corpus(universe, 67);
-  sets.push_back(ClumpedSet(universe, 3, 40, 71));
-  sets.push_back(ClumpedSet(universe, 8, 5, 73));
-  const ContainerKind kinds[] = {ContainerKind::kArray,
-                                 ContainerKind::kBitmap, ContainerKind::kRun};
-  for (const ItemSet& a : sets) {
-    for (const ItemSet& b : sets) {
-      const size_t inter = a.IntersectionSize(b);
-      const bool intersects = a.Intersects(b);
-      const bool subset = a.IsSubsetOf(b);
-      for (ContainerKind ka : kinds) {
-        const HybridSet ha = HybridSet::BuildAs(a, universe, ka);
-        // Probe forms against the raw sorted set.
-        ASSERT_EQ(ha.IntersectionCount(b), inter) << ContainerKindName(ka);
-        ASSERT_EQ(ha.Intersects(b), intersects) << ContainerKindName(ka);
-        ASSERT_EQ(ha.ContainsAll(b), b.IsSubsetOf(a)) << ContainerKindName(ka);
-        for (ContainerKind kb : kinds) {
-          const HybridSet hb = HybridSet::BuildAs(b, universe, kb);
-          ASSERT_EQ(HybridSet::IntersectionCount(ha, hb), inter)
-              << ContainerKindName(ka) << " x " << ContainerKindName(kb);
-          ASSERT_EQ(HybridSet::Intersects(ha, hb), intersects)
-              << ContainerKindName(ka) << " x " << ContainerKindName(kb);
-          ASSERT_EQ(HybridSet::IsSubsetOf(ha, hb), subset)
-              << ContainerKindName(ka) << " x " << ContainerKindName(kb);
-        }
-      }
-    }
-  }
-}
-
-TEST(BitSet, RangeOpsMatchBruteForce) {
-  for (const size_t universe : {64u, 65u, 130u, 500u}) {
-    const std::vector<ItemSet> sets = Corpus(universe, 83 + universe);
-    for (const ItemSet& s : sets) {
-      BitSet bs(universe);
-      bs.AssignFrom(s);
-      for (const size_t begin :
-           std::vector<size_t>{0, 1, 63, 64, 65, universe / 2}) {
-        for (const size_t end : std::vector<size_t>{
-                 begin, begin + 1, begin + 63, begin + 64, universe}) {
-          if (end > universe || begin > end) continue;
-          size_t count = 0;
-          bool all = true;
-          for (size_t id = begin; id < end; ++id) {
-            if (bs.Test(static_cast<ItemId>(id))) {
-              ++count;
-            } else {
-              all = false;
-            }
-          }
-          ASSERT_EQ(bs.CountRange(static_cast<ItemId>(begin),
-                                  static_cast<ItemId>(end)),
-                    count);
-          ASSERT_EQ(bs.AnyInRange(static_cast<ItemId>(begin),
-                                  static_cast<ItemId>(end)),
-                    count > 0);
-          ASSERT_EQ(bs.AllInRange(static_cast<ItemId>(begin),
-                                  static_cast<ItemId>(end)),
-                    all);
-        }
-      }
-    }
-  }
-}
-
-TEST(ItemSetIndex, RunContainersRouteExactly) {
-  // Clumped sets in a big universe: too sparse for bitmaps, clumped enough
-  // for run containers — the run route must fire and stay exact.
-  const size_t universe = 100000;
-  OctInput input(universe);
-  Rng rng(89);
-  for (size_t s = 0; s < 20; ++s) {
-    input.Add(ClumpedSet(universe, 2 + s % 3, 30, 89 + s), 1.0);
-  }
-  for (size_t s = 0; s < 10; ++s) {
-    input.Add(RandomSet(&rng, universe, 40), 1.0);  // Scattered: array.
-  }
-  const ItemSetIndex index = ItemSetIndex::Build(input);
-  EXPECT_GT(index.num_run_sets(), 0u);
-  EXPECT_EQ(index.num_bitmaps(), 0u);  // Nothing is universe/512-dense.
-
-  ItemSetIndexOptions no_runs;
-  no_runs.min_run_length = 0;
-  const ItemSetIndex plain = ItemSetIndex::Build(input, no_runs);
-  EXPECT_EQ(plain.num_run_sets(), 0u);
-
-  for (const ItemSetIndex* idx : {&index, &plain}) {
-    for (SetId a = 0; a < input.num_sets(); ++a) {
-      for (SetId b = 0; b < input.num_sets(); ++b) {
-        const ItemSet& sa = input.set(a).items;
-        const ItemSet& sb = input.set(b).items;
-        ASSERT_EQ(idx->IntersectionSize(a, b), sa.IntersectionSize(sb));
-        ASSERT_EQ(idx->Intersects(a, b), sa.Intersects(sb));
-        ASSERT_EQ(idx->IsSubsetOf(a, b), sa.IsSubsetOf(sb));
-      }
-    }
-  }
 }
 
 TEST(UnionFind, UnionsBySizeWithPathHalving) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -681,15 +682,19 @@ TEST_F(CrashHarnessTest, AbortBetweenAppendAndManifestRecoversCommitted) {
 TEST_F(CrashHarnessTest, SigkillDuringCommitLoopNeverTearsTheLog) {
   const std::string progress_path = dir_ + "_progress";
   std::filesystem::remove(progress_path);
+  std::filesystem::remove(progress_path + ".tmp");
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     auto log = VersionLog::Open(dir_);
     if (!log.ok()) _exit(2);
+    const std::string progress_tmp = progress_path + ".tmp";
     for (uint32_t v = 1; v <= 10000; ++v) {
       if (!(*log)->Commit(TreeForRound(v % 16), v).ok()) _exit(3);
-      // Progress marker written only after a successful commit.
-      if (!obs::WriteStringToFile(progress_path, std::to_string(v)).ok()) {
+      // Progress marker written only after a successful commit, and
+      // replaced by rename so the kill never leaves it empty or partial.
+      if (!obs::WriteStringToFile(progress_tmp, std::to_string(v)).ok() ||
+          std::rename(progress_tmp.c_str(), progress_path.c_str()) != 0) {
         _exit(4);
       }
     }
@@ -721,6 +726,7 @@ TEST_F(CrashHarnessTest, SigkillDuringCommitLoopNeverTearsTheLog) {
     EXPECT_EQ(lineage[i].parent, lineage[i - 1].version);
   }
   std::filesystem::remove(progress_path);
+  std::filesystem::remove(progress_path + ".tmp");
 }
 
 TEST_F(CrashHarnessTest, AbortBeforeManifestRenameKeepsPreviousVersion) {

@@ -1,6 +1,6 @@
 // Unit tests for the util module: Status/Result, Rng/Zipf, ThreadPool,
-// TableWriter, Timer, logging, string helpers, aligned allocation, and the
-// perf_event_open wrapper's graceful degradation.
+// TableWriter, Timer, logging, string helpers, and the perf_event_open
+// wrapper's graceful degradation.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/aligned.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/perf_counters.h"
@@ -391,21 +390,6 @@ TEST(Logging, MacroComposesWithUnbracedIfElse) {
     took_else = true;
   EXPECT_TRUE(took_else);
   internal::SetLogLevel(saved);
-}
-
-TEST(Aligned, WordVectorIsCacheLineAligned) {
-  for (const size_t n : {1u, 7u, 64u, 1000u}) {
-    util::AlignedWordVec v(n, 0);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) % util::kCacheLineBytes,
-              0u)
-        << "n=" << n;
-  }
-  // Vector semantics survive the custom allocator (copy, compare, grow).
-  util::AlignedWordVec a = {1, 2, 3};
-  util::AlignedWordVec b = a;
-  EXPECT_EQ(a, b);
-  b.push_back(4);
-  EXPECT_NE(a, b);
 }
 
 // The contract under test is graceful degradation: whether or not this
