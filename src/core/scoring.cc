@@ -32,23 +32,16 @@ SetCover ScoreOneSet(const OctInput& input, const CategoryTree& tree,
                      const Similarity& sim,
                      const std::vector<std::vector<NodeId>>& direct_index,
                      const std::vector<size_t>& sizes,
-                     kernel::DenseCounter* inter, SetId q,
+                     kernel::SubtreeCounter* inter, SetId q,
                      NodeId exclude_cover) {
   const CandidateSet& cs = input.set(q);
   // Intersection size of q with every category that shares an item with it:
-  // bump the direct node and all its ancestors once per shared item. The
-  // dense counter resets in O(categories touched), so one per worker
-  // amortizes across the chunk (the tie-break chain below is a total
-  // order, so iteration order does not affect the winner).
-  for (ItemId item : cs.items) {
-    for (NodeId leaf_node : direct_index[item]) {
-      NodeId cur = leaf_node;
-      while (cur != kInvalidNode) {
-        inter->Increment(cur);
-        cur = tree.node(cur).parent;
-      }
-    }
-  }
+  // walk from each shared item's direct nodes to the root, counting the item
+  // once per node even when it sits on two branches. The counter resets in
+  // O(categories touched), so one per worker amortizes across the chunk
+  // (the tie-break chain below is a total order, so iteration order does
+  // not affect the winner).
+  for (ItemId item : cs.items) inter->AddItem(direct_index[item]);
   SetCover cover;
   double best_precision = -1.0;
   size_t best_depth = 0;
@@ -96,9 +89,13 @@ TreeScore ScoreTree(const OctInput& input, const CategoryTree& tree,
   result.per_set.resize(input.num_sets());
   const auto direct_index = BuildDirectIndex(tree, input.universe_size());
   const auto sizes = tree.ComputeItemSetSizes();
+  std::vector<NodeId> parents(tree.num_nodes());
+  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
+    parents[id] = tree.node(id).parent;
+  }
 
   auto worker = [&](size_t begin, size_t end) {
-    kernel::DenseCounter inter(tree.num_nodes());
+    kernel::SubtreeCounter inter(parents);
     for (size_t q = begin; q < end; ++q) {
       result.per_set[q] = ScoreOneSet(input, tree, sim, direct_index, sizes,
                                       &inter, static_cast<SetId>(q),

@@ -6,7 +6,7 @@ namespace oct {
 namespace kernel {
 
 BitSet::BitSet(size_t universe_size)
-    : universe_size_(universe_size), words_(WordsFor(universe_size), 0) {}
+    : universe_size_(universe_size), words_((universe_size + 63) / 64, 0) {}
 
 void BitSet::SetAll(const ItemSet& set) {
   for (ItemId id : set) {

@@ -4,8 +4,7 @@
 // Counting a sorted set against a bitmap costs O(|set|) — one word load and
 // bit test per item — regardless of how many items the bitmap holds, so a
 // bitmap pays off when one side is probed many times: MergeSimilarSets
-// keeps one scratch bitmap of the set it is growing, and the router keeps
-// one per dense category (router/route_index.h).
+// keeps one scratch bitmap of the set it is growing, its only user.
 //
 // A BitSet is a scratch/acceleration structure, not a model type: the OCT
 // model keeps ItemSet as the source of truth.
@@ -29,11 +28,6 @@ class BitSet {
 
   /// All-zero bitmap over a universe of `universe_size` items.
   explicit BitSet(size_t universe_size);
-
-  /// Words needed for a universe (64 items per word).
-  static constexpr size_t WordsFor(size_t universe_size) {
-    return (universe_size + 63) / 64;
-  }
 
   /// Sets the bits of `set` without clearing others (incremental unions).
   /// Items must be < universe.

@@ -37,7 +37,7 @@ struct SlowRequestEntry {
   /// Per-stage breakdown (microseconds). Stages a request never reached
   /// stay 0.
   double resolve_us = 0.0;   // Result-set resolution (index probe).
-  double score_us = 0.0;     // Category descent + ranking.
+  double score_us = 0.0;     // Category scoring + ranking.
   double serialize_us = 0.0; // Response rendering (HTTP ingress only).
   bool shed = false;
   bool degraded = false;

@@ -27,14 +27,25 @@ RouterStats::RouterStats()
       routed_(registry_.GetCounter(
           "router.routed", "Requests answered with a non-empty ranking")),
       unrouted_(registry_.GetCounter(
-          "router.unrouted",
-          "Requests answered OK with no category above the Jaccard floor")),
+          "router.unrouted", "Requests answered OK with an empty ranking")),
+      unrouted_by_reason_{
+          registry_.GetCounter("router.unrouted_empty_result_set",
+                               "Unrouted: the result set was empty"),
+          registry_.GetCounter("router.unrouted_unplaced",
+                               "Unrouted: no item of the result set is "
+                               "placed in the tree"),
+          registry_.GetCounter("router.unrouted_misc_dominated",
+                               "Unrouted: more than half of the result set "
+                               "lies under the root's misc category"),
+          registry_.GetCounter("router.unrouted_below_floor",
+                               "Unrouted: no category reached the Jaccard "
+                               "floor (the rest)")},
       shed_deadline_(registry_.GetCounter(
           "router.shed_deadline",
           "Requests dropped: deadline expired before scoring began")),
       degraded_(registry_.GetCounter(
           "router.degraded",
-          "Requests cut short mid-descent, answered best-so-far")),
+          "Requests whose deadline expired while scoring, answered unranked")),
       errors_(registry_.GetCounter(
           "router.errors", "Requests failed by resolve/score errors")),
       index_version_(registry_.GetGauge(
@@ -46,7 +57,7 @@ RouterStats::RouterStats()
       resolve_us_(registry_.GetHistogram(
           "router.resolve_us", "Result-set resolution per answer", "us")),
       score_us_(registry_.GetHistogram(
-          "router.score_us", "Descent and ranking per answer", "us")) {}
+          "router.score_us", "Scoring and ranking per answer", "us")) {}
 
 RouterStatsSnapshot RouterStats::Snapshot() const {
   RouterStatsSnapshot s;

@@ -15,19 +15,29 @@
 namespace oct {
 namespace router {
 
+/// Why an answer that is OK ranked no category. Each has its own counter,
+/// router.unrouted_<name>, and the four sum to router.unrouted.
+enum class UnroutedReason {
+  kEmptyResultSet,  // R(q) is empty.
+  kUnplaced,        // No item of R(q) is placed in the tree.
+  kMiscDominated,   // More than half of R(q) lies under the root's misc.
+  kBelowFloor,      // The rest: no category reached the Jaccard floor.
+};
+inline constexpr size_t kNumUnroutedReasons = 4;
+
 /// Plain-value copy of every router metric, safe to pass around.
 struct RouterStatsSnapshot {
   /// Requests admitted by a running router.
   uint64_t requests = 0;
   /// Requests answered with at least one ranked category.
   uint64_t routed = 0;
-  /// Requests answered OK but with an empty ranking (no category reached
-  /// the Jaccard floor, or the query's result set was empty).
+  /// Requests answered OK but with an empty ranking (see UnroutedReason).
   uint64_t unrouted = 0;
   /// Requests dropped because their deadline expired before scoring began.
   uint64_t shed_deadline = 0;
-  /// Requests whose descent was cut short by deadline/budget but still
-  /// returned a valid best-so-far ranking.
+  /// Requests whose deadline expired while they were scored, answered
+  /// with an empty ranking. Each admitted request is counted once, as
+  /// routed, unrouted, shed, degraded or an error.
   uint64_t degraded = 0;
   /// Requests failed by injected or real errors (resolve/score paths).
   uint64_t errors = 0;
@@ -55,7 +65,10 @@ class RouterStats {
 
   void RecordAdmitted() { requests_->Increment(); }
   void RecordRouted() { routed_->Increment(); }
-  void RecordUnrouted() { unrouted_->Increment(); }
+  void RecordUnrouted(UnroutedReason reason) {
+    unrouted_->Increment();
+    unrouted_by_reason_[static_cast<size_t>(reason)]->Increment();
+  }
   void RecordShedDeadline() { shed_deadline_->Increment(); }
   void RecordDegraded() { degraded_->Increment(); }
   void RecordError() { errors_->Increment(); }
@@ -79,6 +92,7 @@ class RouterStats {
   obs::Counter* requests_;
   obs::Counter* routed_;
   obs::Counter* unrouted_;
+  obs::Counter* unrouted_by_reason_[kNumUnroutedReasons];
   obs::Counter* shed_deadline_;
   obs::Counter* degraded_;
   obs::Counter* errors_;

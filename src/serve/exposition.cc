@@ -275,7 +275,8 @@ std::string ServingExposition::HandleRoute(
   } else if (!result.status.ok() && !result.degraded) {
     status = 500;
   }
-  // Degraded stays 200: the ranking is valid, just best-so-far.
+  // Degraded stays 200: the deadline ran out while scoring, and the empty
+  // ranking says so without claiming a partial one.
 
   Timer serialize_timer;
   {

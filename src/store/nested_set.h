@@ -6,7 +6,7 @@
 //   - pre-order position == compact NodeId == ascending-lft order, so the
 //     subtree of node n is the *contiguous* id range [n, n + size(n)) and a
 //     subtree read is one range scan — no pointer chasing, directly usable
-//     by the router's root->leaf descent on a cold, just-parsed snapshot;
+//     on a cold, just-parsed snapshot;
 //   - size(n) falls out of the interval: rgt - lft = 2*size - 1, so
 //     SubtreeSpan / SubtreeItemCount / IsAncestor are all O(1);
 //   - direct items live in one CSR block in the same pre-order, so a

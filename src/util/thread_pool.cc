@@ -109,25 +109,21 @@ void ThreadPool::ParallelFor(size_t n,
   }
   const size_t chunks = std::min(n, workers * 4);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<size_t> remaining{0};
+  // The count drops under done_mu, so this frame (which owns done_mu and
+  // done_cv) cannot return while the last chunk still holds them.
+  size_t remaining = (n + chunk_size - 1) / chunk_size;
   std::mutex done_mu;
   std::condition_variable done_cv;
-  size_t launched = 0;
   for (size_t begin = 0; begin < n; begin += chunk_size) {
     const size_t end = std::min(n, begin + chunk_size);
-    ++launched;
-  remaining.fetch_add(1);
     Submit([&, begin, end] {
       fn(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::unique_lock<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
-  (void)launched;
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 ThreadPool* DefaultThreadPool() {

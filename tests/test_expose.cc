@@ -376,19 +376,23 @@ TEST(ExpositionServer, ScrapeUnderConcurrentLoadStaysParseableAndMonotone) {
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> done{false};
+  std::atomic<int> running{0};
   std::vector<std::thread> load;
   for (int w = 0; w < 3; ++w) {
-    load.emplace_back([&registry, &done] {
+    load.emplace_back([&registry, &done, &running] {
       Counter* counter = registry.GetCounter("load.ops", "ops under load");
       Histogram* lat = registry.GetHistogram("load.lat_us", "fake", "us");
       uint64_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
         counter->Increment();
         lat->Record(static_cast<double>(i % 1000));
-        ++i;
+        if (i++ == 0) running.fetch_add(1);
       }
     });
   }
+  // Scrape only once every load thread has counted, so the 25 scrapes
+  // cannot all finish before the load starts on a busy machine.
+  while (running.load() < 3) std::this_thread::yield();
 
   double last_ops = -1.0;
   for (int scrape = 0; scrape < 25; ++scrape) {

@@ -129,6 +129,40 @@ TEST(DenseCounter, CountsAndResetsTouchedOnly) {
   EXPECT_EQ(c.count(42), 0u);
 }
 
+TEST(SubtreeCounter, CountsAnItemOnceAtCommonAncestors) {
+  // 0 -> {1 -> {3, 4}, 2}; item A sits at 3 and 4, item B at 4 and 2,
+  // item C at 3 only.
+  const std::vector<uint32_t> parents = {UINT32_MAX, 0, 0, 1, 1};
+  SubtreeCounter c(parents);
+  const std::vector<uint32_t> item_a = {3, 4};
+  const std::vector<uint32_t> item_b = {4, 2};
+  c.AddItem(item_a);
+  EXPECT_EQ(c.count(3), 1u);
+  EXPECT_EQ(c.count(4), 1u);
+  EXPECT_EQ(c.count(1), 1u);  // Not 2: A is one item.
+  EXPECT_EQ(c.count(0), 1u);
+  EXPECT_EQ(c.count(2), 0u);
+  c.AddItem(item_b);
+  EXPECT_EQ(c.count(4), 2u);
+  EXPECT_EQ(c.count(1), 2u);
+  EXPECT_EQ(c.count(2), 1u);
+  EXPECT_EQ(c.count(0), 2u);
+  EXPECT_EQ(c.touched(), (std::vector<uint32_t>{3, 1, 0, 4, 2}));
+  c.AddItem({});  // An unplaced item touches nothing.
+  EXPECT_EQ(c.touched().size(), 5u);
+  const std::vector<uint32_t> item_c = {3};
+  c.AddItem(item_c);  // One placement: its path, each node once.
+  EXPECT_EQ(c.count(3), 2u);
+  EXPECT_EQ(c.count(1), 3u);
+  EXPECT_EQ(c.count(0), 3u);
+  c.Reset();
+  EXPECT_TRUE(c.touched().empty());
+  EXPECT_EQ(c.count(0), 0u);
+  c.AddItem(item_a);  // Stamps from before the reset do not hide nodes.
+  EXPECT_EQ(c.count(1), 1u);
+  EXPECT_EQ(c.count(0), 1u);
+}
+
 TEST(ItemSetIndex, InvertedListsAreExactAndSorted) {
   const OctInput input = RandomInput(500, 60, 30, 3);
   const ItemSetIndex index = ItemSetIndex::Build(input);

@@ -138,6 +138,30 @@ TEST(ScoreTree, PerSetDeltaOverrideHonored) {
   EXPECT_DOUBLE_EQ(score.total, 1.0);
 }
 
+TEST(ScoreTree, ItemOnTwoBranchesCountsOnceAtTheirAncestor) {
+  // root -> mid -> {a, b}; item 0 (bound 2) sits in both a and b, item 1 in
+  // a, item 2 in b. mid holds 3 items and shares all of them with q1.
+  OctInput input(3);
+  input.Add(ItemSet({0, 1, 2}), 1.0, "q1");
+  input.Add(ItemSet({0}), 1.0, "q2");
+  input.set_item_bounds({2, 1, 1});
+  CategoryTree tree;
+  const NodeId mid = tree.AddCategory(tree.root(), "mid");
+  const NodeId cat_a = tree.AddCategory(mid, "a");
+  const NodeId cat_b = tree.AddCategory(mid, "b");
+  for (ItemId x : {0u, 1u}) tree.AssignItem(cat_a, x);
+  for (ItemId x : {0u, 2u}) tree.AssignItem(cat_b, x);
+  ASSERT_TRUE(tree.ValidateModel(input).ok());
+  for (const Variant variant :
+       {Variant::kJaccardCutoff, Variant::kJaccardThreshold}) {
+    const TreeScore score = ScoreTree(input, tree, Similarity(variant, 0.5));
+    for (SetId q = 0; q < input.num_sets(); ++q) {
+      EXPECT_LE(score.per_set[q].score, 1.0)
+          << VariantName(variant) << " q" << q + 1;
+    }
+  }
+}
+
 TEST(AnnotateCoveredSets, MarksBestCovers) {
   const OctInput input = Figure2Input();
   CategoryTree t1 = BuildT1();
