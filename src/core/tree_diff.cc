@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "core/similarity.h"
+#include "core/tree_ops.h"
 
 namespace oct {
 
@@ -20,7 +21,7 @@ std::vector<CategoryView> Categories(const CategoryTree& tree) {
   const auto sets = tree.ComputeItemSets();
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {
     if (!tree.IsAlive(id) || id == tree.root()) continue;
-    if (tree.node(id).label == "misc") continue;
+    if (tree.node(id).label == kMiscLabel) continue;
     if (sets[id].empty()) continue;
     out.push_back({id, sets[id]});
   }
@@ -32,7 +33,7 @@ std::unordered_map<ItemId, NodeId> Placements(const CategoryTree& tree) {
   std::unordered_map<ItemId, NodeId> out;
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {
     if (!tree.IsAlive(id) || id == tree.root()) continue;
-    if (tree.node(id).label == "misc") continue;
+    if (tree.node(id).label == kMiscLabel) continue;
     for (ItemId item : tree.node(id).direct_items) out.emplace(item, id);
   }
   return out;

@@ -333,7 +333,7 @@ NodeId AddMiscCategory(const OctInput& input, CategoryTree* tree) {
     if (!placed[item]) unassigned.push_back(item);
   }
   if (unassigned.empty()) return kInvalidNode;
-  const NodeId misc = tree->AddCategory(tree->root(), "misc");
+  const NodeId misc = tree->AddCategory(tree->root(), kMiscLabel);
   tree->mutable_node(misc).direct_items =
       ItemSet::FromSorted(std::move(unassigned));
   return misc;

@@ -50,9 +50,13 @@ CondenseStats CondenseTree(const OctInput& input, const Similarity& sim,
                            const std::vector<NodeId>& protect = {},
                            NodeId exclude_cover = kInvalidNode);
 
-/// Adds a child of the root containing all universe items with no placement
-/// anywhere in the tree. Returns the new node id, or kInvalidNode when no
-/// item was unassigned.
+/// Label of the category AddMiscCategory creates. Routing, tree diffs and
+/// the evaluation metrics recognize the catch-all by it.
+inline constexpr char kMiscLabel[] = "misc";
+
+/// Adds a child of the root labeled kMiscLabel containing all universe items
+/// with no placement anywhere in the tree. Returns the new node id, or
+/// kInvalidNode when no item was unassigned.
 NodeId AddMiscCategory(const OctInput& input, CategoryTree* tree);
 
 }  // namespace oct

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/tree_ops.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -85,7 +86,7 @@ CohesivenessResult MeasureCohesiveness(const data::Catalog& catalog,
   double weight_total = 0.0;
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {
     if (!tree.IsAlive(id) || id == tree.root() || !tree.IsLeaf(id)) continue;
-    if (options.skip_misc && tree.node(id).label == "misc") continue;
+    if (options.skip_misc && tree.node(id).label == kMiscLabel) continue;
     const ItemSet& items = item_sets[id];
     if (items.size() < options.min_items) continue;
     // Sample up to max_items_per_category items.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "core/tree_ops.h"
 #include "util/rng.h"
 
 namespace oct {
@@ -31,7 +32,7 @@ std::vector<SuspiciousCategory> DetectIncoherentCategories(
   const auto item_sets = tree.ComputeItemSets();
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {
     if (!tree.IsAlive(id) || id == tree.root() || !tree.IsLeaf(id)) continue;
-    if (tree.node(id).label == "misc") continue;
+    if (tree.node(id).label == kMiscLabel) continue;
     const ItemSet& items = item_sets[id];
     if (items.size() < options.min_items) continue;
     std::vector<ItemId> sample(items.begin(), items.end());
