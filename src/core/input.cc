@@ -73,7 +73,15 @@ Status OctInput::Validate() const {
 }
 
 std::vector<std::vector<SetId>> OctInput::BuildInvertedIndex() const {
+  // Count first, so each list is allocated once at its exact size.
+  std::vector<uint32_t> counts(universe_size_, 0);
+  for (const auto& s : sets_) {
+    for (ItemId item : s.items) ++counts[item];
+  }
   std::vector<std::vector<SetId>> index(universe_size_);
+  for (size_t item = 0; item < universe_size_; ++item) {
+    index[item].reserve(counts[item]);
+  }
   for (SetId q = 0; q < sets_.size(); ++q) {
     for (ItemId item : sets_[q].items) {
       index[item].push_back(q);

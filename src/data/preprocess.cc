@@ -1,7 +1,6 @@
 #include "data/preprocess.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "kernel/bitset.h"
@@ -9,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace oct {
 namespace data {
@@ -67,8 +67,8 @@ void MergeSimilarSets(const Similarity& sim, size_t max_passes,
   const bool use_f1 = MergeBandUsesF1(sim);
   static obs::Counter* bitset_hits =
       obs::MetricsRegistry::Default()->GetCounter("kernel.bitset_hits");
-  // Universe bound for the probe bitmap (items are sorted, so the last one
-  // of each set is its maximum).
+  // Universe bound for the probe bitmap and the index (items are sorted, so
+  // the last one of each set is its maximum).
   size_t universe = 0;
   for (const CandidateSet& cs : *sets) {
     if (!cs.items.empty()) {
@@ -76,12 +76,28 @@ void MergeSimilarSets(const Similarity& sim, size_t max_passes,
     }
   }
   kernel::BitSet probe(universe);
+  // Per-pass item -> sets index as a CSR: the sets holding `item` are
+  // postings[offsets[item] .. offsets[item + 1]), in ascending set order.
+  OCT_CHECK_LE(sets->size(), size_t{UINT32_MAX});
+  std::vector<uint32_t> offsets(universe + 1);
+  std::vector<uint32_t> cursor;
+  std::vector<uint32_t> postings;
   for (size_t pass = 0; pass < max_passes; ++pass) {
     bool merged_any = false;
-    // Candidate pairs via a per-pass inverted index over items.
-    std::unordered_map<ItemId, std::vector<size_t>> index;
+    std::fill(offsets.begin(), offsets.end(), 0);
+    size_t total = 0;
+    for (const CandidateSet& cs : *sets) {
+      for (ItemId item : cs.items) ++offsets[item + 1];
+      total += cs.items.size();
+    }
+    OCT_CHECK_LE(total, size_t{UINT32_MAX});
+    for (size_t u = 0; u < universe; ++u) offsets[u + 1] += offsets[u];
+    cursor.assign(offsets.begin(), offsets.end() - 1);
+    postings.resize(total);
     for (size_t i = 0; i < sets->size(); ++i) {
-      for (ItemId item : (*sets)[i].items) index[item].push_back(i);
+      for (ItemId item : (*sets)[i].items) {
+        postings[cursor[item]++] = static_cast<uint32_t>(i);
+      }
     }
     std::vector<char> dead(sets->size(), 0);
     std::vector<size_t> candidates;
@@ -101,7 +117,9 @@ void MergeSimilarSets(const Similarity& sim, size_t max_passes,
           items_i.size() >= o_min ? items_i.size() - o_min + 1 : 0;
       candidates.clear();
       for (size_t p = 0; p < prefix; ++p) {
-        for (size_t j : index[items_i.items()[p]]) {
+        const ItemId item = items_i.items()[p];
+        for (uint32_t k = offsets[item]; k < offsets[item + 1]; ++k) {
+          const size_t j = postings[k];
           if (j > i && !dead[j]) candidates.push_back(j);
         }
       }
@@ -154,6 +172,10 @@ OctInput BuildOctInput(const SearchEngine& engine,
       obs::MetricsRegistry::Default()->GetCounter("data.raw_queries");
   static obs::Counter* kept_sets_counter =
       obs::MetricsRegistry::Default()->GetCounter("data.kept_sets");
+  static obs::Histogram* result_sets_us =
+      obs::MetricsRegistry::Default()->GetHistogram("data.result_sets_us");
+  static obs::Histogram* merge_us =
+      obs::MetricsRegistry::Default()->GetHistogram("data.merge_us");
   PreprocessStats local;
   local.raw_queries = log.size();
   raw_queries_counter->Increment(log.size());
@@ -194,6 +216,7 @@ OctInput BuildOctInput(const SearchEngine& engine,
   sets.reserve(frequent.size());
   {
     OCT_SPAN("data/result_sets");
+    Timer timer;
     for (const LoggedQuery* lq : frequent) {
       ItemSet result =
           engine.ResultSet(lq->query, options.relevance_threshold);
@@ -214,13 +237,16 @@ OctInput BuildOctInput(const SearchEngine& engine,
       cs.label = lq->query.Text(engine.catalog());
       sets.push_back(std::move(cs));
     }
+    result_sets_us->Record(timer.ElapsedSeconds() * 1e6);
   }
   local.after_scatter_filter = sets.size();
 
   // Stage 4: merge near-duplicate result sets.
   if (options.merge_similar) {
     OCT_SPAN("data/merge_similar_sets");
+    Timer timer;
     MergeSimilarSets(sim, options.merge_passes, &sets);
+    merge_us->Record(timer.ElapsedSeconds() * 1e6);
   }
   local.after_merge = sets.size();
   kept_sets_counter->Increment(sets.size());

@@ -136,29 +136,43 @@ size_t SearchEngine::CollectHits(const Query& query, double floor,
     return std::clamp(r, 0.0, 1.0);
   };
 
-  // Full matches: intersect postings, smallest list first. A single
-  // conjunct reads its posting list in place.
-  std::vector<const std::vector<ItemId>*> lists;
-  for (const auto& [attr, value] : query.conjuncts) {
-    lists.push_back(&postings_[attr][value]);
+  // Calls visit(item), in ascending item order, for every item that matches
+  // each conjunct except conjuncts[skip] (none skipped when skip is out of
+  // range). Only the shortest of those posting lists is read; the other
+  // conjuncts are tested against the catalog's value matrix, so a query
+  // costs the length of one list instead of the sum of all of them.
+  const auto& conjuncts = query.conjuncts;
+  auto for_each_match = [&](size_t skip, auto&& visit) {
+    const std::vector<ItemId>* scan = nullptr;
+    size_t scanned = skip;
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (i == skip) continue;
+      const auto& list = postings_[conjuncts[i].first][conjuncts[i].second];
+      if (scan == nullptr || list.size() < scan->size()) {
+        scan = &list;
+        scanned = i;
+      }
+    }
+    for (ItemId item : *scan) {
+      bool match = true;
+      for (size_t i = 0; match && i < conjuncts.size(); ++i) {
+        if (i == skip || i == scanned) continue;
+        const auto& [attr, value] = conjuncts[i];
+        match = catalog_->value(item, attr) == value;
+      }
+      if (match) visit(item);
+    }
+  };
+
+  // Full matches. Only a single conjunct answers with its whole list, so
+  // only then is the length of the scan a useful reservation.
+  if (conjuncts.size() == 1) {
+    hits->reserve(postings_[conjuncts[0].first][conjuncts[0].second].size());
   }
-  std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  const std::vector<ItemId>* matches = lists[0];
-  std::vector<ItemId> full;
-  for (size_t i = 1; i < lists.size(); ++i) {
-    std::vector<ItemId> next;
-    next.reserve(matches->size());
-    std::set_intersection(matches->begin(), matches->end(), lists[i]->begin(),
-                          lists[i]->end(), std::back_inserter(next));
-    full = std::move(next);
-    matches = &full;
-  }
-  hits->reserve(matches->size());
-  for (ItemId item : *matches) {
+  for_each_match(conjuncts.size(), [&](ItemId item) {
     const double r = relevance_of(item, options_.full_match_relevance);
     if (r >= floor) hits->push_back({item, r});
-  }
+  });
   const size_t full_hits = hits->size();
 
   // Near-misses: items matching all conjuncts but one (multi-conjunct
@@ -168,32 +182,14 @@ size_t SearchEngine::CollectHits(const Query& query, double floor,
       std::clamp(options_.partial_match_relevance + std::abs(options_.noise) +
                      kPhrasingNoise,
                  0.0, 1.0);
-  if (query.conjuncts.size() >= 2 && near_miss_bound >= floor) {
-    for (size_t skip = 0; skip < query.conjuncts.size(); ++skip) {
-      std::vector<ItemId> partial;
-      bool first = true;
-      for (size_t i = 0; i < query.conjuncts.size(); ++i) {
-        if (i == skip) continue;
-        const auto& [attr, value] = query.conjuncts[i];
-        const auto& list = postings_[attr][value];
-        if (first) {
-          partial = list;
-          first = false;
-        } else {
-          std::vector<ItemId> next;
-          next.reserve(partial.size());
-          std::set_intersection(partial.begin(), partial.end(), list.begin(),
-                                list.end(), std::back_inserter(next));
-          partial = std::move(next);
-        }
-      }
-      const auto& [sattr, svalue] = query.conjuncts[skip];
-      for (ItemId item : partial) {
-        if (catalog_->value(item, sattr) == svalue) continue;  // Full match.
-        const double r =
-            relevance_of(item, options_.partial_match_relevance);
+  if (conjuncts.size() >= 2 && near_miss_bound >= floor) {
+    for (size_t skip = 0; skip < conjuncts.size(); ++skip) {
+      const auto& [sattr, svalue] = conjuncts[skip];
+      for_each_match(skip, [&](ItemId item) {
+        if (catalog_->value(item, sattr) == svalue) return;  // Full match.
+        const double r = relevance_of(item, options_.partial_match_relevance);
         if (r >= floor) hits->push_back({item, r});
-      }
+      });
     }
   }
 

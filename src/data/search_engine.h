@@ -110,7 +110,8 @@ class SearchEngine {
   /// Appends the hits with relevance >= floor: full matches (in ascending
   /// item order, without duplicates), then near-misses and mislabeled
   /// injections, duplicates included. Returns the number of full-match
-  /// hits appended.
+  /// hits appended. Each enumeration scans only its shortest posting list
+  /// and tests the other conjuncts with Catalog::value.
   size_t CollectHits(const Query& query, double floor,
                      std::vector<Hit>* hits) const;
 

@@ -3,14 +3,20 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/existing_tree.h"
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
+#include "baselines/existing_tree.h"
 #include "data/catalog.h"
 #include "data/datasets.h"
 #include "data/preprocess.h"
 #include "data/query_log.h"
 #include "data/search_engine.h"
+#include "obs/metrics.h"
+#include "reference_preprocess.h"
+#include "util/rng.h"
 
 namespace oct {
 namespace data {
@@ -175,6 +181,88 @@ TEST(SearchEngine, ResultSetMatchesThresholdedSearch) {
   EXPECT_GT(truncated, 0u);  // Some cases really did cut at top_k.
 }
 
+// An oracle for the match enumeration that does not go through the engine.
+// With no noise, no injections and no truncation, full matches score in
+// [0.926, 0.934) and near-misses in [0.546, 0.554), so Search splits into
+// the two match classes, which a scan of the whole catalog must reproduce:
+// items failing no conjunct, and (for two or more conjuncts) items failing
+// exactly one. Besides the logged queries of both schemas this covers
+// repeated attributes and queries whose shortest posting list is not the
+// first conjunct.
+TEST(SearchEngine, MatchClassesMatchCatalogScan) {
+  size_t shortest_not_first = 0;
+  for (const bool electronics : {false, true}) {
+    const Catalog catalog = Catalog::Generate(
+        electronics ? ElectronicsSchema() : FashionSchema(), 2000, 43);
+    SearchOptions options;
+    options.noise = 0.0;
+    options.mislabel_per_query = 0.0;
+    options.top_k = catalog.num_items() + 1;
+    const SearchEngine engine(&catalog, options);
+    QueryLogOptions lopt;
+    lopt.num_queries = 120;
+    lopt.seed = 17;
+    std::vector<Query> queries;
+    for (const LoggedQuery& lq : GenerateQueryLog(catalog, lopt)) {
+      queries.push_back(lq.query);
+    }
+    queries.push_back(Query{{{1, 2}, {1, 3}}});
+    queries.push_back(Query{{{1, 2}, {1, 2}}});
+    queries.push_back(Query{{{0, 0}, {1, 2}, {1, 2}}});
+    queries.push_back(Query{{{1, 2}, {0, 0}, {1, 3}}});
+    // The most common type first, then rarer values of other attributes.
+    for (uint16_t attr = 1; attr < catalog.num_attributes(); ++attr) {
+      const uint16_t rare = static_cast<uint16_t>(
+          catalog.schema().attributes[attr].values.size() - 1);
+      queries.push_back(Query{{{0, 0}, {attr, rare}}});
+      queries.push_back(Query{{{0, 0}, {attr, rare}, {2, 0}}});
+    }
+    for (const Query& q : queries) {
+      std::vector<size_t> list_size(q.conjuncts.size(), 0);
+      std::vector<ItemId> full;
+      std::vector<ItemId> near;
+      for (ItemId item = 0; item < catalog.num_items(); ++item) {
+        size_t failed = 0;
+        for (size_t i = 0; i < q.conjuncts.size(); ++i) {
+          const auto& [attr, value] = q.conjuncts[i];
+          if (catalog.value(item, attr) == value) {
+            ++list_size[i];
+          } else {
+            ++failed;
+          }
+        }
+        if (failed == 0) full.push_back(item);
+        if (failed == 1 && q.conjuncts.size() >= 2) near.push_back(item);
+      }
+      if (std::min_element(list_size.begin(), list_size.end()) !=
+          list_size.begin()) {
+        ++shortest_not_first;
+      }
+      std::vector<ItemId> high;
+      std::vector<ItemId> mid;
+      for (const auto& h : engine.Search(q)) {
+        if (h.relevance >= 0.9) {
+          high.push_back(h.item);
+        } else if (h.relevance >= 0.5 && h.relevance < 0.6) {
+          mid.push_back(h.item);
+        } else {
+          ADD_FAILURE() << q.Text(catalog) << ": relevance " << h.relevance;
+        }
+      }
+      std::sort(high.begin(), high.end());
+      std::sort(mid.begin(), mid.end());
+      EXPECT_EQ(high, full) << q.Text(catalog);
+      EXPECT_EQ(mid, near) << q.Text(catalog);
+      EXPECT_EQ(engine.ResultSet(q, 0.9), ItemSet(full)) << q.Text(catalog);
+      std::vector<ItemId> both = full;
+      both.insert(both.end(), near.begin(), near.end());
+      EXPECT_EQ(engine.ResultSet(q, 0.5), ItemSet(std::move(both)))
+          << q.Text(catalog);
+    }
+  }
+  EXPECT_GT(shortest_not_first, 10u);
+}
+
 /// FNV-1a over the eight bytes of `word`.
 uint64_t DigestAdd(uint64_t digest, uint64_t word) {
   for (int i = 0; i < 8; ++i) {
@@ -315,6 +403,112 @@ TEST(Preprocess, MergeBandLeavesModeratelySimilarAlone) {
   EXPECT_EQ(sets.size(), 2u);
 }
 
+/// Random merge inputs with planted near-duplicate chains. Each link of a
+/// chain swaps or adds an item or two of the previous link, so links sit
+/// near the band and some enter it only once their neighbours have merged,
+/// which leaves work for later passes. Weights are small integers, so equal
+/// weights exercise the label rule too. Items are even, so every other
+/// item is in no set, as most catalog items are in no result set.
+std::vector<CandidateSet> ChainedSets(uint64_t seed) {
+  constexpr ItemId kUniverse = 300;
+  Rng rng(seed);
+  auto random_item = [&] {
+    return 2 * static_cast<ItemId>(rng.NextBelow(kUniverse));
+  };
+  std::vector<CandidateSet> sets;
+  for (size_t chain = 0; chain < 14; ++chain) {
+    std::vector<ItemId> items;
+    const size_t size = 6 + rng.NextBelow(50);
+    while (items.size() < size) {
+      const ItemId item = random_item();
+      if (std::find(items.begin(), items.end(), item) == items.end()) {
+        items.push_back(item);
+      }
+    }
+    const size_t links = 1 + rng.NextBelow(5);
+    for (size_t link = 0; link < links; ++link) {
+      CandidateSet cs;
+      cs.items = ItemSet(items);
+      cs.weight = static_cast<double>(1 + rng.NextBelow(4));
+      cs.label = std::to_string(chain) + "." + std::to_string(link);
+      sets.push_back(std::move(cs));
+      const size_t edits = 1 + rng.NextBelow(2);
+      for (size_t e = 0; e < edits; ++e) {
+        const ItemId item = random_item();
+        if (std::find(items.begin(), items.end(), item) != items.end()) {
+          continue;
+        }
+        if (rng.NextBernoulli(0.5)) {
+          items[rng.NextBelow(items.size())] = item;
+        } else {
+          items.push_back(item);
+        }
+      }
+    }
+  }
+  rng.Shuffle(&sets);
+  return sets;
+}
+
+// The CSR merge against the hash-map reference: identical sets in identical
+// order, with identical items, weights and labels, for both band functions,
+// both thresholds and one to three passes.
+TEST(Preprocess, MergeMatchesReference) {
+  size_t later_pass_merges = 0;
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    for (const Variant variant :
+         {Variant::kJaccardThreshold, Variant::kF1Threshold}) {
+      for (const double delta : {0.6, 0.8}) {
+        const Similarity sim(variant, delta);
+        std::vector<size_t> kept;
+        for (size_t passes = 1; passes <= 3; ++passes) {
+          std::vector<CandidateSet> expected = ChainedSets(seed);
+          std::vector<CandidateSet> actual = expected;
+          reference::MergeSimilarSets(sim, passes, &expected);
+          MergeSimilarSets(sim, passes, &actual);
+          ASSERT_EQ(actual.size(), expected.size())
+              << "seed " << seed << " passes " << passes;
+          for (size_t i = 0; i < actual.size(); ++i) {
+            EXPECT_EQ(actual[i].items, expected[i].items);
+            EXPECT_EQ(std::bit_cast<uint64_t>(actual[i].weight),
+                      std::bit_cast<uint64_t>(expected[i].weight));
+            EXPECT_EQ(actual[i].label, expected[i].label);
+          }
+          kept.push_back(actual.size());
+        }
+        if (kept.back() < kept.front()) ++later_pass_merges;
+      }
+    }
+  }
+  EXPECT_GT(later_pass_merges, 0u);  // Some inputs merged after pass one.
+}
+
+// Each BuildOctInput records one sample per preprocessing phase it runs.
+TEST(Preprocess, RecordsOneSamplePerPhase) {
+  const Catalog c = Catalog::Generate(FashionSchema(), 800, 29);
+  const SearchEngine engine(&c, {});
+  QueryLogOptions lopt;
+  lopt.num_queries = 150;
+  lopt.seed = 7;
+  const auto log = GenerateQueryLog(c, lopt);
+  const CategoryTree et = baselines::BuildExistingTree(c);
+  const Similarity sim(Variant::kJaccardThreshold, 0.8);
+  obs::Histogram* result_sets_us =
+      obs::MetricsRegistry::Default()->GetHistogram("data.result_sets_us");
+  obs::Histogram* merge_us =
+      obs::MetricsRegistry::Default()->GetHistogram("data.merge_us");
+  const uint64_t result_sets_before = result_sets_us->Count();
+  const uint64_t merge_before = merge_us->Count();
+  PreprocessOptions popt;
+  BuildOctInput(engine, log, et, sim, popt);
+  EXPECT_EQ(result_sets_us->Count(), result_sets_before + 1);
+  EXPECT_EQ(merge_us->Count(), merge_before + 1);
+  popt.merge_similar = false;
+  BuildOctInput(engine, log, et, sim, popt);
+  EXPECT_EQ(result_sets_us->Count(), result_sets_before + 2);
+  EXPECT_EQ(merge_us->Count(), merge_before + 1);
+}
+
 TEST(Preprocess, RelevanceThresholdDefaults) {
   EXPECT_DOUBLE_EQ(DefaultRelevanceThreshold(Variant::kJaccardThreshold), 0.8);
   EXPECT_DOUBLE_EQ(DefaultRelevanceThreshold(Variant::kF1Cutoff), 0.8);
@@ -346,6 +540,33 @@ TEST(Datasets, SmallScaleDatasetIsCoherent) {
   for (const auto& s : e.input.sets()) {
     EXPECT_GE(s.weight, 1.0);
     EXPECT_DOUBLE_EQ(s.weight, std::round(s.weight));
+  }
+}
+
+// Pinned OctInputs of every registry dataset at 8% scale: the set count,
+// then per set its size, items and weight bits, then its label's bytes. A
+// change to preprocessing must reproduce them bit for bit.
+TEST(Datasets, InputsMatchPinnedDigests) {
+  const std::pair<char, uint64_t> kPinned[] = {
+      {'A', 0x7fa9fe031a503d60ULL}, {'B', 0x308921837d254bcfULL},
+      {'C', 0xdcb57178476139bfULL}, {'D', 0x8a18170d5045de6bULL},
+      {'E', 0x1677a476fdbd1738ULL},
+  };
+  for (const auto& [name, pinned] : kPinned) {
+    const Dataset ds =
+        MakeDataset(name, Similarity(Variant::kJaccardThreshold, 0.8), 0.08);
+    uint64_t digest = 0xCBF29CE484222325ULL;
+    digest = DigestAdd(digest, ds.input.num_sets());
+    for (const CandidateSet& cs : ds.input.sets()) {
+      digest = DigestAdd(digest, cs.items.size());
+      for (ItemId item : cs.items) digest = DigestAdd(digest, item);
+      digest = DigestAdd(digest, std::bit_cast<uint64_t>(cs.weight));
+      for (const char ch : cs.label) {
+        digest ^= static_cast<unsigned char>(ch);
+        digest *= 0x100000001B3ULL;
+      }
+    }
+    EXPECT_EQ(digest, pinned) << name << std::hex << " 0x" << digest;
   }
 }
 
