@@ -3,7 +3,7 @@
 // significant"):
 //   (1) preprocessing — query merging on/off, scatter filter on/off;
 //   (2) CTCR          — intermediate categories on/off, condensing on/off,
-//                       exact-MIS vs greedy+local-search MIS;
+//                       exact-MIS vs greedy+local-search MIS, item bound 2;
 //   (3) CCT           — average vs single vs complete linkage.
 
 #include "bench_util.h"
@@ -54,21 +54,29 @@ void CtcrAblation() {
     bool intermediates;
     bool condense;
     bool exact_mis;
+    uint32_t item_bound;
   };
-  for (const Config& config : {Config{"full CTCR", true, true, true},
-                               Config{"no intermediate cats", false, true,
-                                      true},
-                               Config{"no condensing", true, false, true},
-                               Config{"greedy MIS only", true, true, false}}) {
+  for (const Config& config :
+       {Config{"full CTCR", true, true, true, 1},
+        Config{"no intermediate cats", false, true, true, 1},
+        Config{"no condensing", true, false, true, 1},
+        Config{"greedy MIS only", true, true, false, 1},
+        Config{"item bound 2 (every item)", true, true, true, 2}}) {
     ctcr::CtcrOptions options;
     options.add_intermediate_categories = config.intermediates;
     options.condense = config.condense;
     if (!config.exact_mis) {
       options.mis.exact_kernel_limit = 0;  // Forces greedy + local search.
     }
-    const ctcr::CtcrResult run =
-        ctcr::BuildCategoryTree(ds.input, sim, options);
-    const TreeScore score = ScoreTree(ds.input, run.tree, sim);
+    // Section 3.3, "Extensions": an item may sit on up to `item_bound`
+    // branches, counted once at their common ancestors.
+    OctInput input = ds.input;
+    if (config.item_bound > 1) {
+      input.set_item_bounds(
+          std::vector<uint32_t>(input.universe_size(), config.item_bound));
+    }
+    const ctcr::CtcrResult run = ctcr::BuildCategoryTree(input, sim, options);
+    const TreeScore score = ScoreTree(input, run.tree, sim);
     table.AddRow({config.name, TableWriter::Num(score.normalized, 4),
                   std::to_string(score.num_covered),
                   std::to_string(run.tree.NumCategories())});

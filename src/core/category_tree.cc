@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
+#include "core/tree_index.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -122,18 +122,6 @@ std::vector<NodeId> CategoryTree::PostOrder() const {
   return order;
 }
 
-std::vector<size_t> CategoryTree::ComputeItemSetSizes() const {
-  // Because direct item sets along a branch are disjoint (validated in
-  // ValidateModel), the full size is the sum over the subtree.
-  std::vector<size_t> sizes(nodes_.size(), 0);
-  for (NodeId id : PostOrder()) {
-    size_t total = nodes_[id].direct_items.size();
-    for (NodeId c : nodes_[id].children) total += sizes[c];
-    sizes[id] = total;
-  }
-  return sizes;
-}
-
 std::vector<ItemSet> CategoryTree::ComputeItemSets() const {
   std::vector<ItemSet> sets(nodes_.size());
   for (NodeId id : PostOrder()) {
@@ -199,18 +187,21 @@ Status CategoryTree::ValidateStructure() const {
 Status CategoryTree::ValidateModel(const OctInput& input) const {
   OCT_RETURN_NOT_OK(ValidateStructure());
   // Count most-specific placements per item and detect same-branch repeats.
-  std::unordered_map<ItemId, std::vector<NodeId>> placements;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!nodes_[id].alive) continue;
-    for (ItemId item : nodes_[id].direct_items) {
-      if (item >= input.universe_size()) {
-        return Status::Internal("item outside the universe in node " +
-                                std::to_string(id));
-      }
-      placements[item].push_back(id);
+  const TreeIndex index = TreeIndex::Build(*this);
+  NodeId outside = kInvalidNode;
+  for (size_t item = input.universe_size(); item < index.item_limit();
+       ++item) {
+    for (NodeId id : index.PlacementsOf(static_cast<ItemId>(item))) {
+      outside = std::min(outside, id);
     }
   }
-  for (const auto& [item, nodes] : placements) {
+  if (outside != kInvalidNode) {
+    return Status::Internal("item outside the universe in node " +
+                            std::to_string(outside));
+  }
+  for (size_t i = 0; i < index.item_limit(); ++i) {
+    const ItemId item = static_cast<ItemId>(i);
+    const std::span<const NodeId> nodes = index.PlacementsOf(item);
     const uint32_t bound = input.ItemBound(item);
     if (nodes.size() > bound) {
       return Status::Internal(
@@ -249,13 +240,13 @@ std::vector<NodeId> CategoryTree::Compact() {
 
 std::string CategoryTree::ToString(size_t max_items_per_node) const {
   std::ostringstream out;
-  const std::vector<size_t> sizes = ComputeItemSetSizes();
+  const TreeIndex index = TreeIndex::Build(*this);
   // Recursive lambda over alive nodes.
   auto render = [&](auto&& self, NodeId id, size_t indent) -> void {
     out << std::string(indent * 2, ' ');
     out << (nodes_[id].label.empty() ? ("category#" + std::to_string(id))
                                      : nodes_[id].label);
-    out << " [" << sizes[id] << " items]";
+    out << " [" << index.size(id) << " items]";
     if (nodes_[id].direct_items.size() > 0 &&
         nodes_[id].direct_items.size() <= max_items_per_node) {
       out << " direct=" << nodes_[id].direct_items.ToString();

@@ -11,7 +11,9 @@
 // The tree therefore stores, per node, only the *direct* items — items whose
 // most-specific category is that node. The full item set of a category is
 // the union of its direct items and its descendants' full sets, computed on
-// demand (requirement (1) then holds by construction).
+// demand (requirement (1) then holds by construction). TreeIndex
+// (core/tree_index.h) derives parents, depths, placements and full-set
+// sizes from a tree in one pass.
 
 #ifndef OCT_CORE_CATEGORY_TREE_H_
 #define OCT_CORE_CATEGORY_TREE_H_
@@ -103,12 +105,9 @@ class CategoryTree {
   /// All alive node ids in post-order (root last).
   std::vector<NodeId> PostOrder() const;
 
-  /// Full item-set size per node (index by NodeId; tombstones get 0).
-  /// O(total direct items + nodes).
-  std::vector<size_t> ComputeItemSetSizes() const;
-
   /// Materialized full item set per node. O(sum of set sizes); prefer
-  /// ComputeItemSetSizes plus targeted intersections on large trees.
+  /// TreeIndex (core/tree_index.h) sizes plus targeted intersections on
+  /// large trees.
   std::vector<ItemSet> ComputeItemSets() const;
 
   /// Full item set of one node.

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/tree_index.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -101,19 +102,15 @@ class Assignment {
     };
     dfs(dfs, tree_->root());
 
-    full_size_ = tree_->ComputeItemSetSizes();
-
+    const TreeIndex index = TreeIndex::Build(*tree_);
+    full_size_.assign(index.sizes().begin(), index.sizes().end());
     placements_.assign(input_.universe_size(), {});
     remaining_.assign(input_.universe_size(), 0);
     for (ItemId i = 0; i < input_.universe_size(); ++i) {
-      remaining_[i] = input_.ItemBound(i);
-    }
-    for (NodeId id = 0; id < n_nodes; ++id) {
-      if (!tree_->IsAlive(id)) continue;
-      for (ItemId item : tree_->node(id).direct_items) {
-        placements_[item].push_back(id);
-        if (remaining_[item] > 0) --remaining_[item];
-      }
+      const std::span<const NodeId> placed = index.PlacementsOf(i);
+      placements_[i].assign(placed.begin(), placed.end());
+      const uint32_t bound = input_.ItemBound(i);
+      remaining_[i] = bound - std::min<uint32_t>(bound, placed.size());
     }
 
     in_s_.assign(n_sets, false);
@@ -163,6 +160,20 @@ class Assignment {
       if (OnSameBranch(p, node)) return false;
     }
     return true;
+  }
+
+  /// First node on the path from `node` to the root whose subtree already
+  /// holds `item` (kInvalidNode when none): a new copy at `node` grows only
+  /// the nodes below it, as a category is a set (Section 2.1).
+  NodeId FirstHolder(ItemId item, NodeId node) const {
+    if (placements_[item].empty()) return kInvalidNode;
+    for (NodeId cur = node; cur != kInvalidNode;
+         cur = tree_->node(cur).parent) {
+      for (NodeId p : placements_[item]) {
+        if (InSubtree(p, cur)) return cur;
+      }
+    }
+    return kInvalidNode;
   }
 
   double EffectiveDelta(SetId q) const {
@@ -280,14 +291,15 @@ class Assignment {
   /// Commits one placement, maintaining all incremental state.
   void Place(ItemId item, NodeId target) {
     OCT_DCHECK(CanPlace(item, target));
+    const NodeId holder = FirstHolder(item, target);
     tree_->AssignItem(target, item);
     placements_[item].push_back(target);
     --remaining_[item];
     ++stats_.duplicates_assigned;
-    // Walk the chain to the root: sizes grow by one everywhere; sets whose
-    // category is on the chain and contain the item gain intersection.
-    NodeId cur = target;
-    while (cur != kInvalidNode) {
+    // Walk the chain up to the first node already holding the item (the
+    // root, for a first copy): sizes grow by one there; sets whose category
+    // is on it and contain the item gain intersection.
+    for (NodeId cur = target; cur != holder; cur = tree_->node(cur).parent) {
       ++full_size_[cur];
       const SetId s = tree_->node(cur).source_set;
       if (s != kInvalidSet && s < in_s_.size() && in_s_[s] &&
@@ -297,7 +309,6 @@ class Assignment {
         }
         RefreshCovered(s);
       }
-      cur = tree_->node(cur).parent;
     }
   }
 
@@ -311,15 +322,15 @@ class Assignment {
     std::unordered_map<NodeId, size_t> added_total;
     std::unordered_map<NodeId, size_t> added_in_set;
     for (const auto& [item, target] : assignments) {
-      NodeId cur = target;
-      while (cur != kInvalidNode) {
+      const NodeId holder = FirstHolder(item, target);
+      for (NodeId cur = target; cur != holder;
+           cur = tree_->node(cur).parent) {
         ++added_total[cur];
         const SetId s = tree_->node(cur).source_set;
         if (s != kInvalidSet && in_s_[s] && options_.cat_of[s] == cur &&
             input_.set(s).items.Contains(item) && !counted_[s].count(item)) {
           ++added_in_set[cur];
         }
-        cur = tree_->node(cur).parent;
       }
     }
     double lost = 0.0;
@@ -408,12 +419,13 @@ class Assignment {
   }
 
   /// Marginal gain (cutoff score) of adding `item` to the category of set s
-  /// at `node`, accumulated over every source set on the chain to the root.
+  /// at `node`, accumulated over every source set on the chain up to the
+  /// first node already holding the item (above it nothing changes).
   /// Returns -infinity when the placement would uncover a covered set.
   double MarginalGain(ItemId item, NodeId node) const {
     double delta_score = 0.0;
-    NodeId cur = node;
-    while (cur != kInvalidNode) {
+    const NodeId holder = FirstHolder(item, node);
+    for (NodeId cur = node; cur != holder; cur = tree_->node(cur).parent) {
       const SetId s = tree_->node(cur).source_set;
       if (s != kInvalidSet && in_s_[s] && options_.cat_of[s] == cur) {
         const size_t q_size = input_.set(s).items.size();
@@ -431,7 +443,6 @@ class Assignment {
         }
         delta_score += input_.set(s).weight * (after - before);
       }
-      cur = tree_->node(cur).parent;
     }
     return delta_score;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/tree_index.h"
 #include "kernel/scratch.h"
 #include "util/logging.h"
 
@@ -9,31 +10,9 @@ namespace oct {
 
 namespace {
 
-/// item -> nodes where the item is a direct (most-specific) placement.
-/// Items outside the input's universe are skipped: a tree scored under a
-/// *different* input than it was built from (the serving drift check, the
-/// train/test experiment) may legitimately place items the new universe
-/// does not know about; they cannot intersect any input set, though they
-/// still count toward category sizes (and therefore precision).
-std::vector<std::vector<NodeId>> BuildDirectIndex(const CategoryTree& tree,
-                                                  size_t universe_size) {
-  std::vector<std::vector<NodeId>> index(universe_size);
-  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
-    if (!tree.IsAlive(id)) continue;
-    for (ItemId item : tree.node(id).direct_items) {
-      if (item >= universe_size) continue;
-      index[item].push_back(id);
-    }
-  }
-  return index;
-}
-
-SetCover ScoreOneSet(const OctInput& input, const CategoryTree& tree,
-                     const Similarity& sim,
-                     const std::vector<std::vector<NodeId>>& direct_index,
-                     const std::vector<size_t>& sizes,
-                     kernel::SubtreeCounter* inter, SetId q,
-                     NodeId exclude_cover) {
+SetCover ScoreOneSet(const OctInput& input, const Similarity& sim,
+                     const TreeIndex& index, kernel::SubtreeCounter* inter,
+                     SetId q, NodeId exclude_cover) {
   const CandidateSet& cs = input.set(q);
   // Intersection size of q with every category that shares an item with it:
   // walk from each shared item's direct nodes to the root, counting the item
@@ -41,18 +20,19 @@ SetCover ScoreOneSet(const OctInput& input, const CategoryTree& tree,
   // O(categories touched), so one per worker amortizes across the chunk
   // (the tie-break chain below is a total order, so iteration order does
   // not affect the winner).
-  for (ItemId item : cs.items) inter->AddItem(direct_index[item]);
+  for (ItemId item : cs.items) inter->AddItem(index.PlacementsOf(item));
   SetCover cover;
   double best_precision = -1.0;
   size_t best_depth = 0;
   for (const NodeId node : inter->touched()) {
     if (node == exclude_cover) continue;
     const size_t count = inter->count(node);
-    const double raw = sim.RawFromSizes(cs.items.size(), sizes[node], count);
-    const double score = sim.ScoreFromSizes(cs.items.size(), sizes[node],
-                                            count, cs.delta_override);
-    const double precision = PrecisionFromSizes(sizes[node], count);
-    const size_t depth = tree.Depth(node);
+    const size_t size = index.size(node);
+    const double raw = sim.RawFromSizes(cs.items.size(), size, count);
+    const double score =
+        sim.ScoreFromSizes(cs.items.size(), size, count, cs.delta_override);
+    const double precision = PrecisionFromSizes(size, count);
+    const size_t depth = index.depth(node);
     // Prefer higher score; break ties toward higher precision (paper: "we
     // retain the one with the highest precision"), then toward the deeper
     // (more specific) category, so dedicated categories beat ancestors that
@@ -87,19 +67,16 @@ TreeScore ScoreTree(const OctInput& input, const CategoryTree& tree,
                     NodeId exclude_cover) {
   TreeScore result;
   result.per_set.resize(input.num_sets());
-  const auto direct_index = BuildDirectIndex(tree, input.universe_size());
-  const auto sizes = tree.ComputeItemSetSizes();
-  std::vector<NodeId> parents(tree.num_nodes());
-  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
-    parents[id] = tree.node(id).parent;
-  }
+  // Items the tree places beyond the input's universe (a tree scored under
+  // another input: the serving drift check, the train/test experiment)
+  // count toward sizes, and so toward precision, but no set looks them up.
+  const TreeIndex index = TreeIndex::Build(tree);
 
   auto worker = [&](size_t begin, size_t end) {
-    kernel::SubtreeCounter inter(parents);
+    kernel::SubtreeCounter inter(index.parents());
     for (size_t q = begin; q < end; ++q) {
-      result.per_set[q] = ScoreOneSet(input, tree, sim, direct_index, sizes,
-                                      &inter, static_cast<SetId>(q),
-                                      exclude_cover);
+      result.per_set[q] = ScoreOneSet(input, sim, index, &inter,
+                                      static_cast<SetId>(q), exclude_cover);
     }
   };
   if (pool == nullptr && input.num_sets() >= 256) {

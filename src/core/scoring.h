@@ -1,9 +1,9 @@
 // Tree scoring: S(q,T) = max_{C in T} S(q,C) and
 // S(Q,W,T) = sum_q W(q) * S(q,T)  (Section 2.1, "Objective").
 //
-// Scoring is accelerated with an item -> direct-placements index so each
-// input set costs O(|q| * depth) rather than O(|q| * #categories), and is
-// parallelized over input sets (Section 5.3).
+// Scoring reads the tree's TreeIndex (core/tree_index.h), so each input set
+// costs O(|q| * depth) rather than O(|q| * #categories) and counts an item
+// on two branches once; sets are scored in parallel (Section 5.3).
 
 #ifndef OCT_CORE_SCORING_H_
 #define OCT_CORE_SCORING_H_

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/scoring.h"
+#include "core/tree_index.h"
 #include "core/tree_ops.h"
 #include "fault/failpoint.h"
 #include "kernel/item_set_index.h"
@@ -186,10 +188,7 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   // to its bound" (Section 3.3, Extensions).
   {
     const auto& inverted = index->inverted();
-    std::vector<size_t> depth(tree.num_nodes(), 0);
-    for (NodeId id : tree.PreOrder()) {
-      if (id != tree.root()) depth[id] = depth[tree.node(id).parent] + 1;
-    }
+    const TreeIndex shape = TreeIndex::Build(tree);
     const bool defer_duplicates = UsesItemAssignment(sim);
     std::vector<NodeId> nodes;
     for (ItemId item = 0; item < input.universe_size(); ++item) {
@@ -204,8 +203,7 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
       // at most one copy, placed at its deepest node. Process nodes deepest
       // first so a chain is identified by its deepest member.
       std::sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
-        if (depth[a] != depth[b]) return depth[a] > depth[b];
-        return a < b;
+        return std::pair(shape.depth(b), a) < std::pair(shape.depth(a), b);
       });
       std::vector<NodeId> chain_heads;  // Deepest node of each chain.
       for (NodeId nd : nodes) {

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/tree_ops.h"
 #include "kernel/pairwise.h"
 #include "kernel/scratch.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -16,43 +13,7 @@ namespace router {
 std::shared_ptr<const RouteIndex> RouteIndex::Build(
     std::shared_ptr<const serve::TreeSnapshot> snapshot) {
   OCT_CHECK(snapshot != nullptr);
-  OCT_SPAN("router/index_build");
-  auto index = std::shared_ptr<RouteIndex>(new RouteIndex());
-  index->snapshot_ = std::move(snapshot);
-
-  const serve::TreeSnapshot& snap = *index->snapshot_;
-  const CategoryTree& tree = snap.tree();
-  const size_t n = tree.num_nodes();
-  index->parents_.resize(n);
-  for (NodeId node = 0; node < n; ++node) {
-    index->parents_[node] = tree.node(node).parent;
-  }
-  for (NodeId child : tree.node(tree.root()).children) {
-    if (tree.node(child).label == kMiscLabel) {
-      index->misc_ = child;
-      break;
-    }
-  }
-
-  // Full-set sizes: one walk per placed item, started from the node that
-  // holds its first placement so each item is added once.
-  kernel::SubtreeCounter sizes(index->parents_);
-  for (NodeId node = 0; node < n; ++node) {
-    for (ItemId item : tree.node(node).direct_items) {
-      const auto placements = snap.PlacementsOf(item);
-      if (placements.front() == node) sizes.AddItem(placements);
-    }
-  }
-  index->sizes_.resize(n);
-  for (NodeId node = 0; node < n; ++node) {
-    index->sizes_[node] = sizes.count(node);
-  }
-
-  static obs::Counter* builds = obs::MetricsRegistry::Default()->GetCounter(
-      "router.index_builds_total",
-      "RouteIndex builds across all routers (one per installed snapshot)");
-  builds->Increment();
-  return index;
+  return std::shared_ptr<const RouteIndex>(new RouteIndex(std::move(snapshot)));
 }
 
 ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
@@ -65,19 +26,21 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
 
   // Overlap of q with every node that shares an item with it. Items the
   // tree does not place (or beyond its universe) have no placements.
-  kernel::SubtreeCounter overlap(parents_);
+  const TreeIndex& tree = snapshot_->index();
+  kernel::SubtreeCounter overlap(tree.parents());
   const std::vector<ItemId>& items = query.items();
   for (size_t i = 0; i < items.size(); ++i) {
     if (i % 256 == 0 && fault::Cancelled(cancel)) {
       stats.degraded = true;
       return stats;
     }
-    overlap.AddItem(snapshot_->PlacementsOf(items[i]));
+    overlap.AddItem(tree.PlacementsOf(items[i]));
   }
   const NodeId root = snapshot_->tree().root();
   stats.nodes_visited = overlap.touched().size();
   stats.nodes_pruned = num_nodes() - stats.nodes_visited;
-  if (misc_ != kInvalidNode) stats.items_in_misc = overlap.count(misc_);
+  const NodeId misc = snapshot_->misc();
+  if (misc != kInvalidNode) stats.items_in_misc = overlap.count(misc);
 
   // Prefix-filter bound: any category with Jaccard >= t shares at least
   // this many items with q. It is always >= 1, and untouched nodes share
@@ -88,14 +51,14 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
   for (NodeId node : overlap.touched()) {
     const size_t shared = overlap.count(node);
     if (node == root || shared < min_overlap) continue;
-    const double c_size = static_cast<double>(sizes_[node]);
+    const double c_size = static_cast<double>(tree.size(node));
     const double inter = static_cast<double>(shared);
     NodeScore score;
     score.node = node;
     score.overlap = static_cast<uint32_t>(shared);
     score.jaccard = inter / (q_size + c_size - inter);
     score.containment = inter / q_size;
-    score.depth = static_cast<uint32_t>(snapshot_->DepthOf(node));
+    score.depth = tree.depth(node);
     // The overlap bound is necessary, not sufficient — re-check the
     // actual Jaccard (with the same epsilon slack the bound derivation
     // uses, so boundary sets are kept, never dropped).

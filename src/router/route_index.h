@@ -1,25 +1,24 @@
-// RouteIndex: the per-snapshot scoring structure of the query router. Built
-// once when a TreeSnapshot is installed, it turns "which categories does
-// this result set belong to?" into an exact bottom-up count:
+// RouteIndex: the query router's scorer over one TreeSnapshot. It turns
+// "which categories does this result set belong to?" into an exact
+// bottom-up count over the snapshot's TreeIndex (core/tree_index.h):
 //
-//   - Each item of R(q) walks from its placements (TreeSnapshot::
-//     PlacementsOf) to the root through a compact parent array
-//     (kernel::SubtreeCounter). The walk stamps nodes per item, so an item
-//     placed on two branches counts once at their common ancestors. What it
-//     leaves is |q ∩ C| for exactly the nodes C that share an item with q.
-//   - Only those touched nodes are scored. Jaccard needs |C| as a set, which
-//     the same walk over every placed item counts once per build.
+//   - Each item of R(q) walks from its placements to the root through the
+//     index's parent array (kernel::SubtreeCounter). The walk stamps nodes
+//     per item, so an item placed on two branches counts once at their
+//     common ancestors. What it leaves is |q ∩ C| for exactly the nodes C
+//     that share an item with q.
+//   - Only those touched nodes are scored, against the index's sizes |C|.
 //
-// The index pins the snapshot it was built from (shared_ptr), so results
-// computed against it stay valid even while TreeStore publishes newer
-// versions — each request pins one RouteIndex, which keeps its answer
-// consistent under concurrent publishes.
+// The snapshot built every array at publish, so Build() only pins it
+// (shared_ptr): each request pins one RouteIndex, which keeps its answer
+// consistent while TreeStore publishes newer versions.
 
 #ifndef OCT_ROUTER_ROUTE_INDEX_H_
 #define OCT_ROUTER_ROUTE_INDEX_H_
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/item_set.h"
@@ -58,8 +57,8 @@ struct ScoreStats {
 
 class RouteIndex {
  public:
-  /// Builds the scoring index for `snapshot` (must be non-null). The
-  /// snapshot is pinned for the index's lifetime.
+  /// The scorer for `snapshot` (must be non-null), which it pins for its
+  /// lifetime. O(1): every array it reads is the snapshot's.
   static std::shared_ptr<const RouteIndex> Build(
       std::shared_ptr<const serve::TreeSnapshot> snapshot);
 
@@ -70,7 +69,7 @@ class RouteIndex {
   serve::TreeVersion version() const { return snapshot_->version(); }
 
   /// Number of candidate categories (== alive tree nodes, root included).
-  size_t num_nodes() const { return parents_.size(); }
+  size_t num_nodes() const { return snapshot_->index().num_nodes(); }
 
   /// Scores every category whose Jaccard against `query` reaches
   /// `min_jaccard` and returns the `top_k` best (0 = all) in `out` — sorted
@@ -89,16 +88,10 @@ class RouteIndex {
                        std::vector<NodeScore>* out) const;
 
  private:
-  RouteIndex() = default;
+  explicit RouteIndex(std::shared_ptr<const serve::TreeSnapshot> snapshot)
+      : snapshot_(std::move(snapshot)) {}
 
   std::shared_ptr<const serve::TreeSnapshot> snapshot_;
-  /// NodeId -> parent (kInvalidNode at the root). Snapshot trees are
-  /// compacted, so node ids are dense.
-  std::vector<NodeId> parents_;
-  /// NodeId -> |full item set|, each item counted once.
-  std::vector<uint32_t> sizes_;
-  /// The root's misc child (labeled kMiscLabel), or kInvalidNode.
-  NodeId misc_ = kInvalidNode;
 };
 
 }  // namespace router

@@ -73,23 +73,7 @@ bool Router::running() const {
 std::shared_ptr<const RouteIndex> Router::CurrentIndex() const {
   std::shared_ptr<const serve::TreeSnapshot> snapshot = store_->Current();
   if (snapshot == nullptr) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    if (index_cache_ != nullptr &&
-        index_cache_->version() == snapshot->version()) {
-      return index_cache_;
-    }
-  }
-  // Build outside the lock: concurrent callers may both build on a version
-  // flip (rare — once per publish), but neither blocks routing meanwhile.
-  std::shared_ptr<const RouteIndex> built =
-      RouteIndex::Build(std::move(snapshot));
-  std::lock_guard<std::mutex> lock(index_mu_);
-  if (index_cache_ == nullptr || built->version() >= index_cache_->version()) {
-    index_cache_ = built;
-    stats_.SetIndexVersion(static_cast<int64_t>(built->version()));
-  }
-  return index_cache_;
+  return RouteIndex::Build(std::move(snapshot));
 }
 
 RouteResult Router::Route(const RouteRequest& request) {

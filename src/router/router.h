@@ -1,17 +1,17 @@
 // oct::router — online query→category routing against the live tree.
 //
-// The Router is the serving front end ROADMAP item 4 asks for: a user query
-// comes in, its result set is resolved through the data::SearchEngine
-// substrate, and the result set is scored against every candidate category
-// of the *current* serve::TreeSnapshot via a per-snapshot RouteIndex
-// (an exact bottom-up count from R(q)'s placements to the root).
-// The answer is a ranked list of category paths.
+// The Router is the serving front end: a user query comes in, its result
+// set is resolved through the data::SearchEngine substrate, and a RouteIndex
+// scores it against every category of the *current* serve::TreeSnapshot
+// (an exact bottom-up count from R(q)'s placements to the root). The answer
+// is a ranked list of category paths.
 //
 // Serving shape: Route() resolves and scores on the caller's thread (for
-// /route, one of the exposition's HTTP workers). Each request pins its own
-// RouteIndex, and thus one snapshot, for its whole answer. There is no
-// queue of its own: admission control for HTTP traffic is the exposition's
-// bounded connection queue, which answers overflow with 503.
+// /route, one of the exposition's HTTP workers). Each request pins the
+// store's current snapshot for its whole answer; the snapshot indexed its
+// tree at publish, so the router caches nothing. There is no queue of its
+// own: admission control for HTTP traffic is the exposition's bounded
+// connection queue, which answers overflow with 503.
 //
 // Deadlines: a request whose budget is already gone once its result set is
 // resolved is shed without scoring. One whose budget expires while it is
@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -139,9 +138,8 @@ class Router {
   /// that.
   RouteResult RouteSerial(const RouteRequest& request) const;
 
-  /// The RouteIndex for the store's current snapshot, building and caching
-  /// it when the store has published a newer version. Thread-safe; nullptr
-  /// before the first publish.
+  /// A RouteIndex pinning the store's current snapshot. Thread-safe;
+  /// nullptr before the first publish.
   std::shared_ptr<const RouteIndex> CurrentIndex() const;
 
   const RouterStats& stats() const { return stats_; }
@@ -162,12 +160,6 @@ class Router {
   const RouterOptions options_;
   mutable RouterStats stats_;
   std::atomic<bool> running_{false};
-
-  /// Index cache: rebuilt lazily when the store publishes a new version.
-  /// A plain mutex (not atomic<shared_ptr>) — TSan models mutexes natively
-  /// (see serve::detail::SnapshotCell).
-  mutable std::mutex index_mu_;
-  mutable std::shared_ptr<const RouteIndex> index_cache_;
 };
 
 }  // namespace router

@@ -10,14 +10,13 @@ std::string RouterStatsSnapshot::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "requests=%llu routed=%llu unrouted=%llu shed_deadline=%llu "
-      "degraded=%llu errors=%llu index_version=%lld shed_rate=%.3f",
+      "degraded=%llu errors=%llu shed_rate=%.3f",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(routed),
       static_cast<unsigned long long>(unrouted),
       static_cast<unsigned long long>(shed_deadline),
       static_cast<unsigned long long>(degraded),
-      static_cast<unsigned long long>(errors),
-      static_cast<long long>(index_version), ShedRate());
+      static_cast<unsigned long long>(errors), ShedRate());
   return buf;
 }
 
@@ -48,9 +47,6 @@ RouterStats::RouterStats()
           "Requests whose deadline expired while scoring, answered unranked")),
       errors_(registry_.GetCounter(
           "router.errors", "Requests failed by resolve/score errors")),
-      index_version_(registry_.GetGauge(
-          "router.index_version",
-          "TreeSnapshot version of the most recently pinned RouteIndex")),
       route_us_(registry_.GetHistogram(
           "router.route_us", "End-to-end route latency (arrival to answer)",
           "us")),
@@ -67,7 +63,6 @@ RouterStatsSnapshot RouterStats::Snapshot() const {
   s.shed_deadline = shed_deadline_->Value();
   s.degraded = degraded_->Value();
   s.errors = errors_->Value();
-  s.index_version = index_version_->Value();
   return s;
 }
 

@@ -1,4 +1,4 @@
-// RouterStats: counters, gauges, and latency histograms of the query
+// RouterStats: counters and latency histograms of the query
 // router, backed by a per-instance obs::MetricsRegistry (the ServeStats
 // pattern) so tests and multi-router processes get independent numbers
 // while the standard JSON/Prometheus exporters keep working. Recording
@@ -44,8 +44,6 @@ struct RouterStatsSnapshot {
   /// Always 0: the router no longer deduplicates requests. Kept because the
   /// repository benchmark (perfbench/) reads it.
   uint64_t deduped = 0;
-  /// TreeSnapshot version of the most recently pinned RouteIndex.
-  int64_t index_version = 0;
 
   double ShedRate() const {
     return requests == 0 ? 0.0
@@ -72,7 +70,6 @@ class RouterStats {
   void RecordShedDeadline() { shed_deadline_->Increment(); }
   void RecordDegraded() { degraded_->Increment(); }
   void RecordError() { errors_->Increment(); }
-  void SetIndexVersion(int64_t version) { index_version_->Set(version); }
   /// Stage latencies of one answer that reached the stage.
   void RecordResolve(double seconds) { resolve_us_->Record(seconds * 1e6); }
   void RecordScore(double seconds) { score_us_->Record(seconds * 1e6); }
@@ -96,7 +93,6 @@ class RouterStats {
   obs::Counter* shed_deadline_;
   obs::Counter* degraded_;
   obs::Counter* errors_;
-  obs::Gauge* index_version_;
   obs::Histogram* route_us_;
   obs::Histogram* resolve_us_;
   obs::Histogram* score_us_;

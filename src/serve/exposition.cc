@@ -436,7 +436,6 @@ std::string ServingExposition::StatusJson() const {
     const router::RouterStatsSnapshot rs = router_->stats().Snapshot();
     w.Key("router").BeginObject();
     w.Key("running").Bool(router_->running());
-    w.Key("index_version").Int(rs.index_version);
     w.Key("requests").Uint(rs.requests);
     w.Key("routed").Uint(rs.routed);
     w.Key("unrouted").Uint(rs.unrouted);

@@ -1,9 +1,11 @@
 // TreeSnapshot: an immutable, index-enriched view of a CategoryTree, built
 // once at publish time so that serving lookups (item -> leaf path,
 // label -> node, subtree sizes) are O(1)/O(depth) and touch no mutable
-// state. Production deployments regenerate trees every ~90 days
-// (Section 5.1) while search and navigation traffic consults the current
-// tree continuously; a snapshot is the unit that gets swapped in.
+// state. Placements, depths and subtree sizes come from the tree's
+// TreeIndex (core/tree_index.h), which the router scores against too.
+// Production deployments regenerate trees every ~90 days (Section 5.1)
+// while search and navigation traffic consults the current tree
+// continuously; a snapshot is the unit that gets swapped in.
 //
 // A snapshot is safe to share across any number of reader threads without
 // synchronization: every index is fully built in the constructor and never
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/category_tree.h"
+#include "core/tree_index.h"
 
 namespace oct {
 namespace serve {
@@ -40,13 +43,22 @@ class TreeSnapshot {
   /// Seconds spent building the indexes (observability: publish cost).
   double build_seconds() const { return build_seconds_; }
 
+  /// Parents, depths, placements and sizes of the (compacted) tree.
+  const TreeIndex& index() const { return index_; }
+
+  /// The root's child labeled kMiscLabel (core/tree_ops.h), or
+  /// kInvalidNode.
+  NodeId misc() const { return misc_; }
+
   /// Most-specific categories of `item` (usually one; more when the input
-  /// used per-item branch bounds > 1). Empty when the item is unplaced or
-  /// out of range. Never allocates.
-  std::span<const NodeId> PlacementsOf(ItemId item) const;
+  /// used per-item branch bounds > 1), the first in pre-order first. Empty
+  /// when the item is unplaced or out of range. Never allocates.
+  std::span<const NodeId> PlacementsOf(ItemId item) const {
+    return index_.PlacementsOf(item);
+  }
 
   /// True when `item` is directly placed somewhere in the tree.
-  bool Contains(ItemId item) const;
+  bool Contains(ItemId item) const { return !PlacementsOf(item).empty(); }
 
   /// Root-to-node path (inclusive) for the item's first most-specific
   /// placement — the breadcrumb a product page shows. Empty when unplaced.
@@ -63,14 +75,15 @@ class TreeSnapshot {
   NodeId FindLabel(const std::string& label) const;
 
   /// Full item-set size of the node's subtree (direct items of the node
-  /// plus all descendants) — the "1,234 items" facet count.
-  size_t SubtreeItemCount(NodeId node) const;
+  /// plus all descendants, an item on two branches counted once) — the
+  /// "1,234 items" facet count.
+  size_t SubtreeItemCount(NodeId node) const { return index_.size(node); }
 
   /// Depth of a node (root = 0), precomputed.
-  size_t DepthOf(NodeId node) const { return depths_[node]; }
+  size_t DepthOf(NodeId node) const { return index_.depth(node); }
 
   /// Number of distinct items with at least one placement.
-  size_t num_items_indexed() const { return num_items_indexed_; }
+  size_t num_items_indexed() const { return index_.num_items_placed(); }
 
   size_t num_categories() const { return tree_.NumCategories(); }
 
@@ -80,15 +93,9 @@ class TreeSnapshot {
   std::string note_;
   double build_seconds_ = 0.0;
 
-  // CSR layout of item -> most-specific nodes: placements of item i live at
-  // placements_[placement_offsets_[i] .. placement_offsets_[i + 1]).
-  std::vector<uint32_t> placement_offsets_;
-  std::vector<NodeId> placements_;
-  size_t num_items_indexed_ = 0;
-
+  TreeIndex index_;
+  NodeId misc_ = kInvalidNode;
   std::unordered_map<std::string, NodeId> label_to_node_;
-  std::vector<size_t> subtree_item_counts_;
-  std::vector<uint32_t> depths_;
 };
 
 }  // namespace serve

@@ -8,7 +8,7 @@
 //     subtree read is one range scan — no pointer chasing, directly usable
 //     on a cold, just-parsed snapshot;
 //   - size(n) falls out of the interval: rgt - lft = 2*size - 1, so
-//     SubtreeSpan / SubtreeItemCount / IsAncestor are all O(1);
+//     SubtreeSpan / IsAncestor are O(1);
 //   - direct items live in one CSR block in the same pre-order, so a
 //     subtree's full item list is one contiguous slice.
 //
@@ -60,13 +60,6 @@ struct NestedSetEncoding {
   std::pair<NodeId, NodeId> SubtreeSpan(NodeId n) const {
     const uint32_t size = (rgt[n] - lft[n] + 1) / 2;
     return {n, n + size};
-  }
-
-  /// Full item count of `n`'s subtree (direct items of n plus all
-  /// descendants). O(1) via the CSR prefix sums over the subtree span.
-  size_t SubtreeItemCount(NodeId n) const {
-    const auto [first, last] = SubtreeSpan(n);
-    return item_offsets[last] - item_offsets[first];
   }
 
   /// True when `a` is a proper ancestor of `b`. O(1) interval containment.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/category_tree.h"
+#include "core/tree_index.h"
 #include "paper_inputs.h"
 
 namespace oct {
@@ -79,10 +80,48 @@ TEST(CategoryTree, ItemSetsAccumulateUpward) {
   EXPECT_EQ(sets[b], ItemSet({1}));
   EXPECT_EQ(sets[a], ItemSet({1, 2}));
   EXPECT_EQ(sets[tree.root()], ItemSet({1, 2, 3}));
-  const auto sizes = tree.ComputeItemSetSizes();
-  EXPECT_EQ(sizes[a], 2u);
-  EXPECT_EQ(sizes[tree.root()], 3u);
+  const TreeIndex index = TreeIndex::Build(tree);
+  EXPECT_EQ(index.size(a), 2u);
+  EXPECT_EQ(index.size(tree.root()), 3u);
   EXPECT_EQ(tree.ItemSetOf(a), sets[a]);
+}
+
+TEST(TreeIndex, ParentsDepthsPlacementsAndSetSizes) {
+  // root -> {A -> {B}, C}, then A2 under A and a tombstone D under C. Item 5
+  // sits in B and C, item 6 in B and A2, so A holds it once, not twice.
+  NodeId a, b, c;
+  CategoryTree tree = SmallTree(&a, &b, &c);
+  const NodeId a2 = tree.AddCategory(a, "A2");
+  const NodeId d = tree.AddCategory(c, "D");
+  tree.AssignItem(d, 9);
+  tree.RemoveNodeKeepChildren(d);  // Item 9 merges into C.
+  for (ItemId x : {1u, 5u, 6u}) tree.AssignItem(b, x);
+  for (ItemId x : {5u, 7u}) tree.AssignItem(c, x);
+  tree.AssignItem(a2, 6);
+  tree.AssignItem(a, 2);
+
+  const TreeIndex index = TreeIndex::Build(tree);
+  ASSERT_EQ(index.num_nodes(), tree.num_nodes());
+  EXPECT_EQ(index.parents()[tree.root()], kInvalidNode);
+  EXPECT_EQ(index.parents()[b], a);
+  EXPECT_EQ(index.parents()[d], kInvalidNode);
+  EXPECT_EQ(index.depth(b), 2u);
+  EXPECT_EQ(index.depth(c), 1u);
+  // Placements in pre-order (A's subtree before C), only alive nodes.
+  const auto five = index.PlacementsOf(5);
+  EXPECT_EQ(std::vector<NodeId>(five.begin(), five.end()),
+            (std::vector<NodeId>{b, c}));
+  EXPECT_EQ(index.PlacementsOf(9).size(), 1u);
+  EXPECT_TRUE(index.PlacementsOf(3).empty());
+  EXPECT_TRUE(index.PlacementsOf(10).empty());
+  EXPECT_EQ(index.item_limit(), 10u);
+  EXPECT_EQ(index.num_items_placed(), 6u);  // 1, 2, 5, 6, 7, 9.
+  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
+    const size_t expected = tree.IsAlive(id) ? tree.ItemSetOf(id).size() : 0;
+    EXPECT_EQ(index.size(id), expected) << "node " << id;
+  }
+  EXPECT_EQ(index.size(a), 4u);             // {1, 2, 5, 6}.
+  EXPECT_EQ(index.size(tree.root()), 6u);
 }
 
 TEST(CategoryTree, MoveNodeReparents) {

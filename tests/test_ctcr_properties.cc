@@ -1,11 +1,15 @@
 // Property-based tests for CTCR over random inputs: structural validity,
-// score bounds, the Exact-variant tightness (score == optimal MIS weight),
+// score bounds, the Exact-variant tightness (score == optimal MIS weight)
+// and optimality (score == the exhaustive-search optimum on tiny inputs),
 // conflict-freeness of the selected sets, and item-bound support — swept
 // across variants and thresholds with parameterized gtest.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/scoring.h"
 #include "ctcr/ctcr.h"
@@ -120,6 +124,83 @@ TEST(CtcrExactTightness, ScoreEqualsOptimalMisWeight) {
     EXPECT_GE(score.total, result.independent_set_weight - 1e-9)
         << "seed " << seed;
   }
+}
+
+/// Tiny bound-1 inputs for exhaustive search (at most 11 sets over at most
+/// 15 items, weights 1-5): even seeds draw intervals, which nest or are
+/// disjoint often; odd seeds draw random subsets.
+OctInput TinyInput(uint64_t seed) {
+  Rng rng(seed);
+  const size_t universe = 6 + rng.NextBelow(10);
+  const size_t num_sets = 3 + rng.NextBelow(9);
+  OctInput input(universe);
+  for (size_t s = 0; s < num_sets; ++s) {
+    std::vector<ItemId> items;
+    if (seed % 2 == 0) {
+      const size_t lo = rng.NextBelow(universe);
+      const size_t hi = lo + rng.NextBelow(universe - lo);
+      for (size_t x = lo; x <= hi; ++x) items.push_back(static_cast<ItemId>(x));
+    } else {
+      for (ItemId x = 0; x < universe; ++x) {
+        if (rng.NextBernoulli(0.3)) items.push_back(x);
+      }
+      if (items.empty()) {
+        items.push_back(static_cast<ItemId>(rng.NextBelow(universe)));
+      }
+    }
+    input.Add(ItemSet(std::move(items)),
+              static_cast<double>(1 + rng.NextBelow(5)),
+              "q" + std::to_string(s));
+  }
+  return input;
+}
+
+/// Weight of the heaviest laminar subfamily (every pair disjoint or nested),
+/// by enumerating every subfamily. A tree's categories form a laminar
+/// family, and a bound-1 tree can make every member of one a category, so
+/// this is the Exact-variant optimum.
+double HeaviestLaminarWeight(const OctInput& input) {
+  const size_t n = input.num_sets();
+  std::vector<uint32_t> laminar_with(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      const ItemSet& a = input.set(static_cast<SetId>(i)).items;
+      const ItemSet& b = input.set(static_cast<SetId>(j)).items;
+      if (!a.Intersects(b) || a.IsSubsetOf(b) || b.IsSubsetOf(a)) {
+        laminar_with[i] |= 1u << j;
+      }
+    }
+  }
+  double best = 0.0;
+  for (uint32_t family = 0; family < (1u << n); ++family) {
+    double weight = 0.0;
+    bool laminar = true;
+    for (size_t i = 0; i < n && laminar; ++i) {
+      if ((family >> i & 1u) == 0) continue;
+      laminar = (family & ~laminar_with[i]) == 0;
+      weight += input.set(static_cast<SetId>(i)).weight;
+    }
+    if (laminar) best = std::max(best, weight);
+  }
+  return best;
+}
+
+TEST(CtcrExactOptimum, MatchesHeaviestLaminarSubfamily) {
+  // Section 5.3: with an optimal MIS, CTCR is optimal for Exact. Checked
+  // against exhaustive search rather than CTCR's own conflict analysis.
+  const Similarity sim(Variant::kExact, 1.0);
+  size_t with_conflicts = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    const OctInput input = TinyInput(seed);
+    const CtcrResult result = BuildCategoryTree(input, sim);
+    ASSERT_TRUE(result.mis_optimal) << "seed " << seed;
+    const double optimum = HeaviestLaminarWeight(input);
+    EXPECT_EQ(ScoreTree(input, result.tree, sim).total, optimum)
+        << "seed " << seed;
+    if (optimum < input.TotalWeight()) ++with_conflicts;
+  }
+  // Most inputs must force a choice, or the search checks little.
+  EXPECT_GT(with_conflicts, 200u);
 }
 
 TEST(CtcrPerfectRecall, CoveredSetsHaveFullRecall) {

@@ -150,6 +150,38 @@ TEST(AssignItems, HonorsItemBoundsAboveOne) {
   EXPECT_TRUE(tree.node(cat_of[q2]).direct_items.Contains(0));
 }
 
+TEST(AssignItems, SecondCopyCountsOnceAtCommonAncestors) {
+  // root -> P -> {A, B}, the categories of q_p, q_a and q_b. Item a is in
+  // A, b in B; x (bound 2) is wanted by all three sets. A copy of x in A and
+  // one in B leave P = {x, a, b} = q_p, so P stays covered and all three
+  // sets are: the second copy must not grow P a second time.
+  const ItemId x = 0, a = 1, b = 2;
+  OctInput input(3);
+  const SetId q_p = input.Add(ItemSet({x, a, b}), 5.0, "q_p");
+  const SetId q_a = input.Add(ItemSet({x, a}), 1.0, "q_a");
+  const SetId q_b = input.Add(ItemSet({x, b}), 1.0, "q_b");
+  input.set_item_bounds({2, 1, 1});
+  CategoryTree tree;
+  std::vector<NodeId> cat_of(3);
+  cat_of[q_p] = tree.AddCategory(tree.root(), "P", q_p);
+  cat_of[q_a] = tree.AddCategory(cat_of[q_p], "A", q_a);
+  cat_of[q_b] = tree.AddCategory(cat_of[q_p], "B", q_b);
+  tree.AssignItem(cat_of[q_a], a);
+  tree.AssignItem(cat_of[q_b], b);
+  const Similarity sim(Variant::kJaccardThreshold, 1.0);
+  AssignItemsOptions options;
+  options.target_sets = {q_p, q_a, q_b};
+  options.cat_of = cat_of;
+  const AssignItemsStats stats = AssignItems(input, sim, options, &tree);
+  ASSERT_TRUE(tree.ValidateModel(input).ok());
+  EXPECT_EQ(stats.sets_skipped_to_protect_covers, 0u);
+  EXPECT_TRUE(tree.node(cat_of[q_a]).direct_items.Contains(x));
+  EXPECT_TRUE(tree.node(cat_of[q_b]).direct_items.Contains(x));
+  const TreeScore score = ScoreTree(input, tree, sim);
+  EXPECT_EQ(score.num_covered, 3u);
+  EXPECT_DOUBLE_EQ(score.total, 7.0);
+}
+
 TEST(AssignItems, PrefersHeavierGainFactor) {
   // Item 1 is needed by both sets (Exact coverage); the heavier set wins it
   // and the lighter set stays uncovered.

@@ -1,5 +1,6 @@
-// oct::router tests: index-vs-oracle scoring identity (an item placed on
-// two branches included), touched/untouched node accounting, degradation
+// oct::router tests: index-vs-oracle scoring identity (items placed on up
+// to three branches of random trees included), snapshot pinning across
+// publishes, touched/untouched node accounting, degradation
 // to an empty ranking, Route() against the serial oracle, shedding (stopped
 // router, deadline gone after resolve), unrouted reasons, monotone snapshot
 // versions under concurrent publishes, stage histograms, trace ownership,
@@ -23,6 +24,7 @@
 #include "obs/tail_sampler.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "random_trees.h"
 #include "router/query_parse.h"
 #include "router/route_index.h"
 #include "router/router.h"
@@ -30,6 +32,7 @@
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
 #include "serve/tree_store.h"
+#include "util/rng.h"
 
 namespace oct {
 namespace router {
@@ -200,6 +203,43 @@ TEST_F(RouterTest, IndexMatchesBruteForceOnHandmadeTree) {
         std::vector<NodeScore> got;
         index->ScoreTopK(query, /*top_k=*/0, t, nullptr, &got);
         ExpectSameRanking(BruteForceTopK(*snapshot, query, 0, t), got);
+      }
+    }
+  }
+}
+
+TEST_F(RouterTest, IndexMatchesBruteForceOnRandomTreesWithBoundsOneToThree) {
+  for (uint32_t max_bound = 1; max_bound <= 3; ++max_bound) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("max bound " + std::to_string(max_bound) + ", seed " +
+                   std::to_string(seed));
+      const testing_trees::RandomTree rt =
+          testing_trees::MakeRandomTree(100 * seed + max_bound, max_bound);
+      serve::TreeStore store(2);
+      const auto snapshot = store.Publish(CategoryTree(rt.tree));
+      const auto index = RouteIndex::Build(snapshot);
+      // Each category's own item set must rank it first at Jaccard 1.
+      const CategoryTree& tree = snapshot->tree();
+      for (NodeId v = 1; v < tree.num_nodes(); ++v) {
+        const ItemSet query = tree.ItemSetOf(v);
+        if (query.empty()) continue;
+        std::vector<NodeScore> got;
+        index->ScoreTopK(query, 0, 0.0, nullptr, &got);
+        ExpectSameRanking(BruteForceTopK(*snapshot, query, 0, 0.0), got);
+        ASSERT_FALSE(got.empty());
+        EXPECT_EQ(got.front().jaccard, 1.0) << "node " << v;
+      }
+      // Random queries, items beyond the tree's universe included.
+      Rng rng(seed);
+      for (int k = 0; k < 10; ++k) {
+        std::vector<ItemId> items;
+        for (size_t i = 0, n = 1 + rng.NextBelow(10); i < n; ++i) {
+          items.push_back(static_cast<ItemId>(rng.NextBelow(40)));
+        }
+        const ItemSet query(std::move(items));
+        std::vector<NodeScore> got;
+        index->ScoreTopK(query, 0, 0.2, nullptr, &got);
+        ExpectSameRanking(BruteForceTopK(*snapshot, query, 0, 0.2), got);
       }
     }
   }
@@ -623,31 +663,38 @@ TEST_F(RouterTest, InjectedResolveAndScoreErrorsAreCounted) {
   router.Stop();
 }
 
-TEST_F(RouterTest, IndexBuiltOncePerVersionAndRebuiltOnPublish) {
+TEST_F(RouterTest, IndexPinsItsSnapshotAcrossAPublish) {
   serve::TreeStore store(2);
   store.Publish(CategoryTree(SharedTree()));
   Router router(&store, SharedDataset().engine.get());
   router.Start();
+  RouteRequest request;
+  request.query = SampleQueries(1).front();
+  const ItemSet result_set =
+      SharedDataset().engine->ResultSet(request.query, 0.8);
 
   const auto index_v1 = router.CurrentIndex();
   ASSERT_NE(index_v1, nullptr);
-  for (const data::Query& query : SampleQueries(10)) {
-    RouteRequest request;
-    request.query = query;
-    router.Route(std::move(request));
-  }
-  // Same version, same index object: no per-request rebuilds.
-  EXPECT_EQ(router.CurrentIndex().get(), index_v1.get());
-  EXPECT_EQ(router.stats().Snapshot().index_version,
-            static_cast<int64_t>(index_v1->version()));
+  std::vector<NodeScore> before;
+  index_v1->ScoreTopK(result_set, 0, 0.0, nullptr, &before);
+  const RouteResult answer_v1 = router.Route(request);
+  ASSERT_TRUE(answer_v1.status.ok());
+  EXPECT_EQ(answer_v1.version, index_v1->version());
 
+  // Two publishes push v1 out of the store's retention; the index still
+  // pins its snapshot and scores against it as before.
   store.Publish(CategoryTree(SharedTree()), "v2");
-  const auto index_v2 = router.CurrentIndex();
-  ASSERT_NE(index_v2, nullptr);
-  EXPECT_NE(index_v2.get(), index_v1.get());
-  EXPECT_GT(index_v2->version(), index_v1->version());
-  // The old index still pins its snapshot for in-flight readers.
+  const auto v3 = store.Publish(CategoryTree(SharedTree()), "v3");
   EXPECT_EQ(index_v1->snapshot().version(), index_v1->version());
+  std::vector<NodeScore> after;
+  index_v1->ScoreTopK(result_set, 0, 0.0, nullptr, &after);
+  ExpectSameRanking(before, after);
+
+  // The next answer pins the new version.
+  const RouteResult answer_v3 = router.Route(request);
+  ASSERT_TRUE(answer_v3.status.ok());
+  EXPECT_EQ(answer_v3.version, v3->version());
+  EXPECT_EQ(router.CurrentIndex()->version(), v3->version());
   router.Stop();
 }
 

@@ -1,10 +1,18 @@
 // Tests for tree scoring — including exact reproduction of the scores of
-// the two optimal trees T1 and T2 of Figure 2.
+// the two optimal trees T1 and T2 of Figure 2, and a brute-force oracle over
+// random trees whose items sit on up to three branches.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
+
 #include "core/scoring.h"
+#include "core/tree_index.h"
 #include "paper_inputs.h"
+#include "random_trees.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace oct {
@@ -145,19 +153,136 @@ TEST(ScoreTree, ItemOnTwoBranchesCountsOnceAtTheirAncestor) {
   input.Add(ItemSet({0, 1, 2}), 1.0, "q1");
   input.Add(ItemSet({0}), 1.0, "q2");
   input.set_item_bounds({2, 1, 1});
-  CategoryTree tree;
-  const NodeId mid = tree.AddCategory(tree.root(), "mid");
-  const NodeId cat_a = tree.AddCategory(mid, "a");
-  const NodeId cat_b = tree.AddCategory(mid, "b");
-  for (ItemId x : {0u, 1u}) tree.AssignItem(cat_a, x);
-  for (ItemId x : {0u, 2u}) tree.AssignItem(cat_b, x);
+  NodeId mid;
+  const CategoryTree tree = testing_trees::SharedItemTree(&mid);
   ASSERT_TRUE(tree.ValidateModel(input).ok());
   for (const Variant variant :
        {Variant::kJaccardCutoff, Variant::kJaccardThreshold}) {
     const TreeScore score = ScoreTree(input, tree, Similarity(variant, 0.5));
+    EXPECT_EQ(score.per_set[0].best_node, mid) << VariantName(variant);
+    EXPECT_EQ(score.per_set[0].score, 1.0) << VariantName(variant);
+    EXPECT_EQ(score.per_set[0].raw, 1.0) << VariantName(variant);
     for (SetId q = 0; q < input.num_sets(); ++q) {
       EXPECT_LE(score.per_set[q].score, 1.0)
           << VariantName(variant) << " q" << q + 1;
+    }
+  }
+}
+
+/// S(q, C) and the keys ScoreTree breaks score ties with before depth and
+/// id, read off C's materialized item set.
+struct CoverKeys {
+  double score = 0.0;
+  double precision = 0.0;
+  double raw = 0.0;
+  bool operator<(const CoverKeys& o) const {
+    return std::tie(score, precision, raw) <
+           std::tie(o.score, o.precision, o.raw);
+  }
+};
+
+/// nullopt when C shares no item with q (ScoreTree never considers it).
+std::optional<CoverKeys> KeysAt(const CandidateSet& q, const ItemSet& c,
+                                const Similarity& sim) {
+  const size_t inter = q.items.IntersectionSize(c);
+  if (inter == 0) return std::nullopt;
+  return CoverKeys{sim.Score(q.items, c, q.delta_override),
+                   PrecisionFromSizes(c.size(), inter),
+                   sim.RawFromSizes(q.items.size(), c.size(), inter)};
+}
+
+/// Sets over `tree`'s universe: categories' in-universe items (so some
+/// sets are covered), perturbed copies of them, and random subsets; a few
+/// carry their own threshold.
+OctInput SetsOver(const testing_trees::RandomTree& tree,
+                  const std::vector<ItemSet>& full, Rng* rng) {
+  OctInput input(tree.universe);
+  input.set_item_bounds(std::vector<uint32_t>(
+      tree.bounds.begin(), tree.bounds.begin() + tree.universe));
+  for (int k = 0; k < 16; ++k) {
+    std::vector<ItemId> items;
+    if (k % 2 == 0) {
+      const ItemSet& c = full[rng->NextBelow(full.size())];
+      for (ItemId x : c) {
+        if (x < tree.universe && !rng->NextBernoulli(0.1 * (k % 4))) {
+          items.push_back(x);
+        }
+      }
+      if (k % 4 == 2) {
+        items.push_back(static_cast<ItemId>(rng->NextBelow(tree.universe)));
+      }
+    } else {
+      const size_t size = 1 + rng->NextBelow(8);
+      for (size_t i = 0; i < size; ++i) {
+        items.push_back(static_cast<ItemId>(rng->NextBelow(tree.universe)));
+      }
+    }
+    if (items.empty()) continue;
+    CandidateSet set;
+    set.items = ItemSet(std::move(items));
+    set.weight = 1.0 + static_cast<double>(k % 3);
+    if (k % 5 == 0) set.delta_override = 0.3 + 0.7 * rng->NextDouble();
+    input.Add(std::move(set));
+  }
+  return input;
+}
+
+TEST(ScoreTree, MatchesBruteForceOnRandomTreesWithBoundsOneToThree) {
+  const Similarity sims[] = {
+      Similarity(Variant::kJaccardCutoff, 0.5),
+      Similarity(Variant::kJaccardThreshold, 0.6),
+      Similarity(Variant::kF1Cutoff, 0.5),
+      Similarity(Variant::kF1Threshold, 0.7),
+      Similarity(Variant::kPerfectRecall, 0.5),
+      Similarity(Variant::kExact, 1.0),
+  };
+  for (uint32_t max_bound = 1; max_bound <= 3; ++max_bound) {
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      SCOPED_TRACE("max bound " + std::to_string(max_bound) + ", seed " +
+                   std::to_string(seed));
+      const testing_trees::RandomTree rt =
+          testing_trees::MakeRandomTree(100 * seed + max_bound, max_bound);
+      const CategoryTree& tree = rt.tree;
+      OctInput every_item(rt.bounds.size());
+      every_item.set_item_bounds(rt.bounds);
+      ASSERT_TRUE(tree.ValidateModel(every_item).ok());
+
+      // Sizes: the index counts every item once, like ItemSetOf.
+      const TreeIndex index = TreeIndex::Build(tree);
+      std::vector<ItemSet> full(tree.num_nodes());
+      for (NodeId v = 0; v < tree.num_nodes(); ++v) {
+        if (tree.IsAlive(v)) full[v] = tree.ItemSetOf(v);
+        EXPECT_EQ(index.size(v), full[v].size()) << "node " << v;
+      }
+
+      Rng rng(seed);
+      const OctInput input = SetsOver(rt, full, &rng);
+      for (const Similarity& sim : sims) {
+        const TreeScore score = ScoreTree(input, tree, sim);
+        for (SetId q = 0; q < input.num_sets(); ++q) {
+          std::optional<CoverKeys> best;
+          for (NodeId v = 0; v < tree.num_nodes(); ++v) {
+            if (!tree.IsAlive(v)) continue;
+            const auto keys = KeysAt(input.set(q), full[v], sim);
+            if (keys && (!best || *best < *keys)) best = keys;
+          }
+          const SetCover& got = score.per_set[q];
+          const std::string where = sim.ToString() + " q" + std::to_string(q);
+          if (!best) {
+            EXPECT_EQ(got.best_node, kInvalidNode) << where;
+            EXPECT_EQ(got.score, 0.0) << where;
+            EXPECT_FALSE(got.covered) << where;
+            continue;
+          }
+          EXPECT_EQ(got.score, best->score) << where;
+          EXPECT_EQ(got.raw, best->raw) << where;
+          EXPECT_EQ(got.covered, best->score > 0.0) << where;
+          ASSERT_NE(got.best_node, kInvalidNode) << where;
+          const auto at = KeysAt(input.set(q), full[got.best_node], sim);
+          ASSERT_TRUE(at.has_value()) << where;
+          EXPECT_EQ(at->score, best->score) << where;
+        }
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "core/scoring.h"
 #include "core/serialization.h"
 #include "paper_inputs.h"
+#include "random_trees.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
 #include "serve/tree_snapshot.h"
@@ -80,6 +81,32 @@ TEST(TreeSnapshot, MultiPlacementItemsListAllBranches) {
   tree.AssignItem(b, 7);  // Branch bound 2: item on two branches.
   const TreeSnapshot snap(std::move(tree), 1);
   EXPECT_EQ(snap.PlacementsOf(7).size(), 2u);
+}
+
+TEST(TreeSnapshot, SharedItemCountsOnceAtTheCommonAncestor) {
+  NodeId mid;
+  CategoryTree tree = testing_trees::SharedItemTree(&mid);
+  const TreeSnapshot snap(std::move(tree), 1);
+  EXPECT_EQ(snap.SubtreeItemCount(mid), 3u);
+  EXPECT_EQ(snap.SubtreeItemCount(snap.tree().root()), 3u);
+  EXPECT_EQ(snap.num_items_indexed(), 3u);
+}
+
+TEST(TreeSnapshot, SubtreeCountsAreSetSizesOnRandomTrees) {
+  for (uint32_t max_bound = 1; max_bound <= 3; ++max_bound) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const TreeSnapshot snap(
+          testing_trees::MakeRandomTree(100 * seed + max_bound, max_bound)
+              .tree,
+          1);
+      const CategoryTree& tree = snap.tree();
+      for (NodeId v = 0; v < tree.num_nodes(); ++v) {
+        EXPECT_EQ(snap.SubtreeItemCount(v), tree.ItemSetOf(v).size())
+            << "max bound " << max_bound << ", seed " << seed << ", node "
+            << v;
+      }
+    }
+  }
 }
 
 TEST(TreeSnapshot, CompactsTombstonesAtBuild) {

@@ -117,20 +117,14 @@ TEST(NestedSetTest, SubtreeQueriesMatchTreeOracle) {
   ASSERT_EQ(enc.num_nodes(), preorder.size());
 
   for (NodeId i = 0; i < enc.num_nodes(); ++i) {
-    // Subtree span size == oracle subtree size; item count == sum of the
-    // subtree's direct items.
+    // Subtree span size == oracle subtree size.
     size_t size_oracle = 1;
-    size_t items_oracle = tree.node(preorder[i]).direct_items.size();
     for (NodeId j = 0; j < enc.num_nodes(); ++j) {
-      if (tree.IsAncestor(preorder[i], preorder[j])) {
-        ++size_oracle;
-        items_oracle += tree.node(preorder[j]).direct_items.size();
-      }
+      if (tree.IsAncestor(preorder[i], preorder[j])) ++size_oracle;
     }
     const auto [first, last] = enc.SubtreeSpan(i);
     EXPECT_EQ(first, i);
     EXPECT_EQ(last - first, size_oracle);
-    EXPECT_EQ(enc.SubtreeItemCount(i), items_oracle);
     for (NodeId j = 0; j < enc.num_nodes(); ++j) {
       EXPECT_EQ(enc.IsAncestor(i, j),
                 tree.IsAncestor(preorder[i], preorder[j]));
