@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "ctcr/ctcr.h"
+#include "kernel/item_set_index.h"
 #include "util/timer.h"
 
 int main() {
@@ -48,7 +49,8 @@ int main() {
   for (size_t threads : thread_counts) {
     ThreadPool pool(threads);
     Timer timer;
-    ctcr::AnalyzeConflicts(c.input, sim, true, &pool);
+    ctcr::AnalyzeConflicts(kernel::ItemSetIndex::Build(c.input), sim, true,
+                           &pool);
     speedup.AddRow({std::to_string(threads),
                     TableWriter::Num(timer.ElapsedSeconds(), 3)});
   }

@@ -4,14 +4,14 @@
 //   1. Conflict enumeration (dataset C, default bench scale): a serial
 //      all-pairs merge-based baseline — the loop the paper implies and the
 //      code shipped before the kernel layer — against AnalyzeConflicts,
-//      which counts overlaps through the ItemSetIndex inverted lists
+//      which counts overlaps through the ItemSetIndex item -> sets lists
 //      (disjoint pairs are never touched) on the ThreadPool. The bench
 //      FAILS (exit 1) unless the kernel path is at least 3x faster AND
 //      produces the identical conflict structure.
 //   2. The CCT condensed distance matrix: serial Embeddings::Distance
 //      oracle loop vs kernel::CondensedEuclideanDistances, verified
-//      bit-identical, plus an end-to-end CCT tree-identity check with the
-//      index on vs off.
+//      bit-identical, plus an end-to-end CCT tree-identity check with a
+//      prebuilt index vs the one CCT builds itself.
 //
 // Each timed phase is wrapped in a PerfPhase, so OCT_BENCH_JSON snapshots
 // carry per-phase hardware counters (IPC, LLC miss rate) when
@@ -173,9 +173,8 @@ int main() {
     bench::PerfPhase perf("conflict_enum_kernel");
     kernel_s = TimeMin([&] {
       index = kernel::ItemSetIndex::Build(ds.input);
-      accelerated = ctcr::AnalyzeConflicts(ds.input, sim,
-                                           /*find_3conflicts=*/false,
-                                           /*pool=*/nullptr, &index);
+      accelerated = ctcr::AnalyzeConflicts(index, sim,
+                                           /*find_3conflicts=*/false);
     });
   }
   if (!SameConflictStructure(baseline, accelerated)) {
@@ -198,17 +197,17 @@ int main() {
   bench::BenchReport::Get().AddTable("conflict_speedup", conflicts);
   std::printf("%s\n", conflicts.ToAligned().c_str());
 
-  // Equivalence of the full analysis (3-conflicts on) with the index
-  // passed in vs built internally.
-  const auto full_off = ctcr::AnalyzeConflicts(ds.input, sim, true);
-  const auto full_on =
-      ctcr::AnalyzeConflicts(ds.input, sim, true, nullptr, &index);
-  if (!SameConflictStructure(full_off, full_on)) {
-    return Fail("index on/off conflict analyses differ");
+  // Equivalence of the full analysis (3-conflicts on) over the prebuilt
+  // index vs a freshly built one.
+  const auto full_fresh = ctcr::AnalyzeConflicts(
+      kernel::ItemSetIndex::Build(ds.input), sim, true);
+  const auto full_prebuilt = ctcr::AnalyzeConflicts(index, sim, true);
+  if (!SameConflictStructure(full_fresh, full_prebuilt)) {
+    return Fail("prebuilt/fresh index conflict analyses differ");
   }
 
   // --- CCT distance matrix: serial oracle vs kernel --------------------
-  const cct::Embeddings emb = cct::EmbedInputSets(ds.input, sim, &index);
+  const cct::Embeddings emb = cct::EmbedInputSets(index, sim);
   const size_t m = emb.num_rows();
   std::vector<float> oracle(m * (m - 1) / 2);
   double oracle_s = 0;
@@ -244,17 +243,18 @@ int main() {
   bench::BenchReport::Get().AddTable("distance_speedup", dist);
   std::printf("%s\n", dist.ToAligned().c_str());
 
-  // End-to-end CCT tree identity, index + pool on vs all defaults.
+  // End-to-end CCT tree identity, prebuilt index + pool vs all defaults
+  // (CCT builds its own index).
   cct::CctOptions tuned;
   tuned.index = &index;
   tuned.pool = DefaultThreadPool();
   const cct::CctResult plain = cct::BuildCategoryTree(ds.input, sim);
   const cct::CctResult fast_tree = cct::BuildCategoryTree(ds.input, sim, tuned);
   if (SerializeTree(plain.tree) != SerializeTree(fast_tree.tree)) {
-    return Fail("CCT trees differ with the kernel index on vs off");
+    return Fail("CCT trees differ with a prebuilt index vs CCT's own");
   }
   std::printf("verified: conflict sets identical, distance matrix "
-              "bit-identical, CCT trees identical (index on/off)\n");
+              "bit-identical, CCT trees identical (prebuilt/own index)\n");
 
   if (speedup < 3.0) {
     return Fail("conflict enumeration speedup below the 3x floor");

@@ -114,7 +114,8 @@ void BM_CondensedDistances(benchmark::State& state) {
   const OctInput input =
       RandomInput(10000, static_cast<size_t>(state.range(0)), 50, 26);
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
-  const cct::Embeddings emb = cct::EmbedInputSets(input, sim);
+  const cct::Embeddings emb =
+      cct::EmbedInputSets(kernel::ItemSetIndex::Build(input), sim);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernel::CondensedEuclideanDistances(
         emb.rows(), emb.squared_norms(), DefaultThreadPool()));
@@ -132,7 +133,8 @@ void BM_ConflictAnalysis(benchmark::State& state) {
       RandomInput(20000, static_cast<size_t>(state.range(0)), 60, 3);
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctcr::AnalyzeConflicts(input, sim, true));
+    benchmark::DoNotOptimize(ctcr::AnalyzeConflicts(
+        kernel::ItemSetIndex::Build(input), sim, true));
   }
 }
 BENCHMARK(BM_ConflictAnalysis)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
@@ -195,7 +197,8 @@ void BM_Embeddings(benchmark::State& state) {
       RandomInput(10000, static_cast<size_t>(state.range(0)), 50, 8);
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cct::EmbedInputSets(input, sim));
+    benchmark::DoNotOptimize(
+        cct::EmbedInputSets(kernel::ItemSetIndex::Build(input), sim));
   }
 }
 BENCHMARK(BM_Embeddings)->Arg(500)->Unit(benchmark::kMillisecond);

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "baselines/cluster_util.h"
 #include "cct/agglomerative.h"
 #include "core/tree_ops.h"
+#include "kernel/item_set_index.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -36,11 +38,12 @@ size_t SignatureIntersection(const std::vector<SetId>& a,
 
 CategoryTree BuildIcQTree(const OctInput& input, const IcQOptions& options) {
   // Membership signature per item; items in no set go straight to misc.
-  const auto index = input.BuildInvertedIndex();
+  const kernel::ItemSetIndex index = kernel::ItemSetIndex::Build(input);
   std::map<std::vector<SetId>, std::vector<ItemId>> by_signature;
   for (ItemId item = 0; item < input.universe_size(); ++item) {
-    if (index[item].empty()) continue;
-    by_signature[index[item]].push_back(item);
+    const std::span<const SetId> sets = index.SetsOf(item);
+    if (sets.empty()) continue;
+    by_signature[{sets.begin(), sets.end()}].push_back(item);
   }
 
   std::vector<std::vector<SetId>> signatures;

@@ -4,9 +4,10 @@
 
 #include "cct/embedding.h"
 #include "core/scoring.h"
-#include "kernel/pairwise.h"
 #include "core/tree_ops.h"
 #include "fault/failpoint.h"
+#include "kernel/item_set_index.h"
+#include "kernel/pairwise.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -76,12 +77,22 @@ CctResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   result.status = OCT_FAILPOINT("cct.build");
   const size_t n = input.num_sets();
 
+  // The item -> sets index the embeddings and condensing read (built here
+  // once unless the caller supplied one).
+  kernel::ItemSetIndex local_index;
+  const kernel::ItemSetIndex* index = options.index;
+  if (index == nullptr) {
+    local_index = kernel::ItemSetIndex::Build(input);
+    index = &local_index;
+  }
+  OCT_DCHECK(&index->input() == &input);
+
   // Line 1: embeddings.
   Timer timer;
   Embeddings emb;
   {
     OCT_SPAN("cct/embed");
-    emb = EmbedInputSets(input, sim, options.index);
+    emb = EmbedInputSets(*index, sim);
   }
   result.seconds_embed = timer.ElapsedSeconds();
   embed_us->Record(result.seconds_embed * 1e6);
@@ -116,7 +127,7 @@ CctResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   const NodeId exclude_cover =
       options.root_cover_candidate ? kInvalidNode : result.tree.root();
   if (options.condense && !fault::Cancelled(options.cancel)) {
-    CondenseTree(input, sim, &result.tree, /*protect=*/{}, exclude_cover);
+    CondenseTree(*index, sim, &result.tree, exclude_cover);
   }
   if (options.add_misc_category) AddMiscCategory(input, &result.tree);
   AnnotateCoveredSets(input, sim, &result.tree, exclude_cover);

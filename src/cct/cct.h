@@ -39,8 +39,8 @@ struct CctOptions {
   /// Thread pool for the distance-matrix build (null: process default).
   ThreadPool* pool = nullptr;
   /// Prebuilt kernel::ItemSetIndex over the input (not owned; may be null,
-  /// in which case CCT builds the inverted index itself). The resulting
-  /// tree is identical either way.
+  /// in which case CCT builds one for the run). The embeddings and
+  /// condensing both read it; the resulting tree is identical either way.
   const kernel::ItemSetIndex* index = nullptr;
   /// Deadline/cancellation (not owned; may be null). On expiry the
   /// clustering fast-finishes its remaining merges and condensing is

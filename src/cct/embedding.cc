@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.h"
-
 namespace oct {
 namespace cct {
 
@@ -35,39 +33,26 @@ std::vector<float> Embeddings::Dense(size_t r, size_t dims) const {
   return out;
 }
 
-Embeddings EmbedInputSets(const OctInput& input, const Similarity& sim,
-                          const kernel::ItemSetIndex* index) {
+Embeddings EmbedInputSets(const kernel::ItemSetIndex& index,
+                          const Similarity& sim) {
+  const OctInput& input = index.input();
   const size_t n = input.num_sets();
   Embeddings emb;
   emb.rows_.resize(n);
   emb.norms_.assign(n, 0.0);
-  std::vector<std::vector<SetId>> local_inverted;
-  const std::vector<std::vector<SetId>>* inverted;
-  if (index != nullptr) {
-    OCT_DCHECK(&index->input() == &input);
-    inverted = &index->inverted();
-  } else {
-    local_inverted = input.BuildInvertedIndex();
-    inverted = &local_inverted;
-  }
-
-  std::vector<uint32_t> inter(n, 0);
-  std::vector<SetId> touched;
+  kernel::OverlapScratch scratch(index);
   for (SetId q = 0; q < n; ++q) {
-    touched.clear();
-    for (ItemId item : input.set(q).items) {
-      for (SetId other : (*inverted)[item]) {
-        if (inter[other] == 0) touched.push_back(other);
-        ++inter[other];
-      }
-    }
+    // Every set sharing an item with q, q itself included, in first-touch
+    // order: the order the norm accumulates in.
+    const std::vector<kernel::PairCount>& partners =
+        scratch.Partners(q, /*later_only=*/false);
     auto& row = emb.rows_[q];
-    row.reserve(touched.size());
+    row.reserve(partners.size());
     const size_t q_size = input.set(q).items.size();
-    for (SetId other : touched) {
+    for (const kernel::PairCount& partner : partners) {
+      const SetId other = partner.other;
       const size_t o_size = input.set(other).items.size();
-      const size_t in = inter[other];
-      inter[other] = 0;
+      const size_t in = partner.inter;
       double value = 0.0;
       switch (sim.variant()) {
         case Variant::kJaccardCutoff:

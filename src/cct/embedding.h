@@ -40,24 +40,22 @@ class Embeddings {
   /// Dense copy of a row (for tests).
   std::vector<float> Dense(size_t r, size_t dims) const;
 
-  friend Embeddings EmbedInputSets(const OctInput& input,
-                                   const Similarity& sim,
-                                   const kernel::ItemSetIndex* index);
+  friend Embeddings EmbedInputSets(const kernel::ItemSetIndex& index,
+                                   const Similarity& sim);
 
  private:
   std::vector<std::vector<Entry>> rows_;
   std::vector<double> norms_;
 };
 
-/// Builds the embedding matrix for the given variant. For Jaccard and F1
-/// variants entry i is the raw (un-thresholded) similarity; for
-/// Perfect-Recall it is (recall + precision) / 2; for Exact it is the
-/// Jaccard similarity (the natural graded proxy, since the 0/1 Exact
-/// function embeds every distinct set at distance sqrt(2) from every other).
-/// `index` (optional) supplies a prebuilt inverted index over `input`;
-/// results are identical with or without it.
-Embeddings EmbedInputSets(const OctInput& input, const Similarity& sim,
-                          const kernel::ItemSetIndex* index = nullptr);
+/// Builds the embedding matrix of the input `index` was built over, for
+/// the given variant. For Jaccard and F1 variants entry i is the raw
+/// (un-thresholded) similarity; for Perfect-Recall it is (recall +
+/// precision) / 2; for Exact it is the Jaccard similarity (the natural
+/// graded proxy, since the 0/1 Exact function embeds every distinct set at
+/// distance sqrt(2) from every other).
+Embeddings EmbedInputSets(const kernel::ItemSetIndex& index,
+                          const Similarity& sim);
 
 }  // namespace cct
 }  // namespace oct

@@ -1,6 +1,7 @@
 #include "core/input.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 
@@ -54,9 +55,9 @@ Status OctInput::Validate() const {
       return Status::InvalidArgument("input set " + std::to_string(i) +
                                      " is empty");
     }
-    if (s.weight < 0.0) {
+    if (!std::isfinite(s.weight) || s.weight < 0.0) {
       return Status::InvalidArgument("input set " + std::to_string(i) +
-                                     " has negative weight");
+                                     " has a negative or non-finite weight");
     }
     if (s.delta_override >= 0.0 &&
         (s.delta_override <= 0.0 || s.delta_override > 1.0)) {
@@ -70,24 +71,6 @@ Status OctInput::Validate() const {
     }
   }
   return Status::OK();
-}
-
-std::vector<std::vector<SetId>> OctInput::BuildInvertedIndex() const {
-  // Count first, so each list is allocated once at its exact size.
-  std::vector<uint32_t> counts(universe_size_, 0);
-  for (const auto& s : sets_) {
-    for (ItemId item : s.items) ++counts[item];
-  }
-  std::vector<std::vector<SetId>> index(universe_size_);
-  for (size_t item = 0; item < universe_size_; ++item) {
-    index[item].reserve(counts[item]);
-  }
-  for (SetId q = 0; q < sets_.size(); ++q) {
-    for (ItemId item : sets_[q].items) {
-      index[item].push_back(q);
-    }
-  }
-  return index;
 }
 
 ItemSet OctInput::AllItems() const {

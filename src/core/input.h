@@ -63,14 +63,9 @@ class OctInput {
   /// True when some item has a bound exceeding 1.
   bool HasRelaxedBounds() const;
 
-  /// Checks structural validity: items within the universe, non-negative
-  /// weights, thresholds in (0,1], non-empty sets, bounds >= 1.
+  /// Checks structural validity: items within the universe, finite
+  /// non-negative weights, thresholds in (0,1], non-empty sets, bounds >= 1.
   Status Validate() const;
-
-  /// Builds the inverted index item -> ids of sets containing it. Only items
-  /// that occur in at least one set get an entry; the vector has
-  /// universe_size() entries.
-  std::vector<std::vector<SetId>> BuildInvertedIndex() const;
 
   /// Union of all input sets (items that occur somewhere in Q).
   ItemSet AllItems() const;

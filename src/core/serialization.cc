@@ -1,5 +1,8 @@
 #include "core/serialization.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,6 +11,9 @@
 namespace oct {
 
 namespace {
+
+/// Item ids are 32-bit, so a universe holds at most 2^32 of them.
+constexpr uint64_t kMaxUniverse = uint64_t{1} << 32;
 
 bool IsLabelSafe(char ch) {
   return ch != ' ' && ch != '%' && ch != '\n' && ch != '\r' && ch != '\t' &&
@@ -37,22 +43,17 @@ std::vector<std::string> Tokens(const std::string& line) {
   return out;
 }
 
-Result<double> ParseDouble(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
+/// Parses all of `s` as a finite T: fails on junk, a trailing remainder, a
+/// '+' sign, a '-' sign on an unsigned T, overflow, nan and inf.
+template <typename T>
+Result<T> ParseNumber(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
     return Status::InvalidArgument("bad number: " + s);
   }
   return v;
-}
-
-Result<uint64_t> ParseUint(const std::string& s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad integer: " + s);
-  }
-  return static_cast<uint64_t>(v);
 }
 
 /// Shortest decimal rendering that round-trips the double exactly.
@@ -135,19 +136,20 @@ Result<OctInput> ParseInput(const std::string& text) {
   }
   OctInput input;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
     const auto toks = Tokens(line);
+    if (toks.empty()) continue;  // A blank line.
     if (toks[0] == "universe") {
       if (toks.size() != 2) return Status::InvalidArgument("bad universe line");
-      auto n = ParseUint(toks[1]);
+      auto n = ParseNumber<uint64_t>(toks[1]);
       if (!n.ok()) return n.status();
+      if (*n > kMaxUniverse) return Status::InvalidArgument("universe > 2^32");
       input.set_universe_size(static_cast<size_t>(*n));
     } else if (toks[0] == "bounds") {
       std::vector<uint32_t> bounds;
       for (size_t i = 1; i < toks.size(); ++i) {
-        auto b = ParseUint(toks[i]);
+        auto b = ParseNumber<uint32_t>(toks[i]);
         if (!b.ok()) return b.status();
-        bounds.push_back(static_cast<uint32_t>(*b));
+        bounds.push_back(*b);
       }
       input.set_item_bounds(std::move(bounds));
     } else if (toks[0] == "set") {
@@ -155,20 +157,20 @@ Result<OctInput> ParseInput(const std::string& text) {
         return Status::InvalidArgument("bad set line: " + line);
       }
       CandidateSet cs;
-      auto w = ParseDouble(toks[1]);
+      auto w = ParseNumber<double>(toks[1]);
       if (!w.ok()) return w.status();
       cs.weight = *w;
       if (toks[2] != "-") {
-        auto d = ParseDouble(toks[2]);
+        auto d = ParseNumber<double>(toks[2]);
         if (!d.ok()) return d.status();
         cs.delta_override = *d;
       }
       cs.label = UnescapeLabel(toks[3]);
       std::vector<ItemId> items;
       for (size_t i = 5; i < toks.size(); ++i) {
-        auto item = ParseUint(toks[i]);
+        auto item = ParseNumber<ItemId>(toks[i]);
         if (!item.ok()) return item.status();
-        items.push_back(static_cast<ItemId>(*item));
+        items.push_back(*item);
       }
       cs.items = ItemSet(std::move(items));
       input.Add(std::move(cs));

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <queue>
-#include <unordered_set>
+#include <span>
 
 #include "core/scoring.h"
+#include "kernel/item_set_index.h"
 #include "kernel/scratch.h"
 #include "util/logging.h"
 
@@ -259,10 +260,10 @@ size_t AddIntermediateCategories(const OctInput& input, CategoryTree* tree) {
   return added;
 }
 
-CondenseStats CondenseTree(const OctInput& input, const Similarity& sim,
-                           CategoryTree* tree,
-                           const std::vector<NodeId>& protect,
+CondenseStats CondenseTree(const kernel::ItemSetIndex& index,
+                           const Similarity& sim, CategoryTree* tree,
                            NodeId exclude_cover) {
+  const OctInput& input = index.input();
   CondenseStats stats;
   // Determine coverage and designated best covers.
   AnnotateCoveredSets(input, sim, tree, exclude_cover);
@@ -272,48 +273,41 @@ CondenseStats CondenseTree(const OctInput& input, const Similarity& sim,
     for (SetId q : tree->node(id).covered_sets) set_covered[q] = 1;
   }
 
-  // Line 24: remove items that only appear in uncovered sets.
-  const auto index = input.BuildInvertedIndex();
-  std::unordered_set<ItemId> removable;
+  // Line 24: remove items that only appear in uncovered sets (an item in
+  // no input set stays).
+  std::vector<char> removable(input.universe_size(), 0);
   for (ItemId item = 0; item < input.universe_size(); ++item) {
-    if (index[item].empty()) continue;  // Not in any input set.
-    bool in_covered = false;
-    for (SetId q : index[item]) {
-      if (set_covered[q]) {
-        in_covered = true;
-        break;
-      }
-    }
-    if (!in_covered) removable.insert(item);
+    const std::span<const SetId> sets = index.SetsOf(item);
+    removable[item] =
+        !sets.empty() && std::none_of(sets.begin(), sets.end(),
+                                      [&](SetId q) { return set_covered[q]; });
   }
-  if (!removable.empty()) {
-    for (NodeId id = 0; id < tree->num_nodes(); ++id) {
-      if (!tree->IsAlive(id)) continue;
-      auto& node = tree->mutable_node(id);
-      std::vector<ItemId> kept;
-      kept.reserve(node.direct_items.size());
-      for (ItemId item : node.direct_items) {
-        if (removable.count(item)) {
-          ++stats.items_removed;
-        } else {
-          kept.push_back(item);
-        }
-      }
-      if (kept.size() != node.direct_items.size()) {
-        node.direct_items = ItemSet::FromSorted(std::move(kept));
+  for (NodeId id = 0; id < tree->num_nodes(); ++id) {
+    if (!tree->IsAlive(id)) continue;
+    auto& node = tree->mutable_node(id);
+    std::vector<ItemId> kept;
+    kept.reserve(node.direct_items.size());
+    for (ItemId item : node.direct_items) {
+      if (removable[item]) {
+        ++stats.items_removed;
+      } else {
+        kept.push_back(item);
       }
     }
-    // Item removal can change precisions, hence coverage; re-annotate.
+    if (kept.size() != node.direct_items.size()) {
+      node.direct_items = ItemSet::FromSorted(std::move(kept));
+    }
+  }
+  // Item removal can change precisions, hence coverage; re-annotate.
+  if (stats.items_removed > 0) {
     AnnotateCoveredSets(input, sim, tree, exclude_cover);
   }
 
   // Line 25: remove categories that are the best cover of no set. Children
   // re-attach to the parent and direct items merge upward, so surviving
   // categories keep their full item sets.
-  std::unordered_set<NodeId> protected_nodes(protect.begin(), protect.end());
   for (NodeId id : tree->PostOrder()) {
     if (id == tree->root() || !tree->IsAlive(id)) continue;
-    if (protected_nodes.count(id)) continue;
     if (tree->node(id).covered_sets.empty()) {
       tree->RemoveNodeKeepChildren(id);
       ++stats.categories_removed;

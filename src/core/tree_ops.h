@@ -12,13 +12,14 @@
 #ifndef OCT_CORE_TREE_OPS_H_
 #define OCT_CORE_TREE_OPS_H_
 
-#include <vector>
-
 #include "core/category_tree.h"
 #include "core/input.h"
 #include "core/similarity.h"
 
 namespace oct {
+namespace kernel {
+class ItemSetIndex;
+}  // namespace kernel
 
 /// For every non-leaf category with more than two children, repeatedly adds
 /// an intermediate parent over the pair of child categories whose associated
@@ -36,18 +37,18 @@ struct CondenseStats {
 
 /// Removes items that only appear in uncovered input sets from all
 /// categories, then removes every category (other than the root) that is
-/// not the designated best cover of any input set. Category removal
-/// re-attaches children and merges direct items into the parent, so full
-/// item sets of surviving ancestors are unchanged and the score may only
-/// improve. `protect` lists node ids that must survive even when they cover
-/// nothing (e.g. none — reserved for taxonomist pins). `exclude_cover`
-/// removes one node from best-cover candidacy (see ScoreTree) — used by
-/// per-component builders to keep the component-local root, whose item set
-/// is the undiluted component union, from stealing covers and condensing
-/// away the component's own top categories.
-CondenseStats CondenseTree(const OctInput& input, const Similarity& sim,
-                           CategoryTree* tree,
-                           const std::vector<NodeId>& protect = {},
+/// not the designated best cover of any input set, over the input `index`
+/// was built on. Category removal re-attaches children and merges direct
+/// items into the parent, so full item sets of surviving ancestors are
+/// unchanged and the score may only improve; but the lifted children's
+/// depths feed the best-cover tie-break, so annotate again before reading
+/// the tree's covered sets. `exclude_cover` removes one node from best-cover
+/// candidacy (see ScoreTree) — used by per-component builders to keep the
+/// component-local root, whose item set is the undiluted component union,
+/// from stealing covers and condensing away the component's own top
+/// categories.
+CondenseStats CondenseTree(const kernel::ItemSetIndex& index,
+                           const Similarity& sim, CategoryTree* tree,
                            NodeId exclude_cover = kInvalidNode);
 
 /// Label of the category AddMiscCategory creates. Routing, tree diffs and

@@ -32,10 +32,11 @@ PairStats MakeStats(const OctInput& input, const ConflictAnalysis& analysis,
 
 }  // namespace
 
-ConflictAnalysis AnalyzeConflicts(const OctInput& input, const Similarity& sim,
-                                  bool find_3conflicts, ThreadPool* pool,
-                                  const kernel::ItemSetIndex* index) {
+ConflictAnalysis AnalyzeConflicts(const kernel::ItemSetIndex& index,
+                                  const Similarity& sim, bool find_3conflicts,
+                                  ThreadPool* pool) {
   OCT_SPAN("ctcr/analyze_conflicts");
+  const OctInput& input = index.input();
   const size_t n = input.num_sets();
   ConflictAnalysis analysis;
 
@@ -56,11 +57,6 @@ ConflictAnalysis AnalyzeConflicts(const OctInput& input, const Similarity& sim,
   for (uint32_t r = 0; r < n; ++r) analysis.rank[analysis.by_rank[r]] = r;
 
   const ConflictPolicy policy(sim);
-  kernel::ItemSetIndex local_index;
-  if (index == nullptr) {
-    local_index = kernel::ItemSetIndex::Build(input);
-    index = &local_index;
-  }
 
   // Parallel 2-conflict scan over intersecting pairs (disjoint pairs are
   // pruned by the kernel driver and never examined).
@@ -71,7 +67,7 @@ ConflictAnalysis AnalyzeConflicts(const OctInput& input, const Similarity& sim,
   {
   OCT_SPAN("ctcr/scan_pairs");
   kernel::ScanOverlapChunks(
-      *index, pool,
+      index, pool,
       [&](size_t begin, size_t end, kernel::OverlapScratch& scratch) {
         std::vector<std::pair<SetId, SetId>> local_conflicts;
         std::vector<std::pair<SetId, SetId>> local_must;

@@ -60,17 +60,14 @@ struct ConflictAnalysis {
   size_t pairs_examined = 0;
 };
 
-/// Runs the conflict analysis. 3-conflicts are computed only when
-/// `find_3conflicts` (CTCR enables it for thresholds < 1). `pool` defaults
-/// to the process-wide pool; pass a 1-thread pool for serial execution.
-/// `index` is an optional prebuilt kernel::ItemSetIndex over `input`
-/// (callers running several phases build it once); when null, a local one
-/// is built. Results are identical either way.
-ConflictAnalysis AnalyzeConflicts(const OctInput& input,
+/// Runs the conflict analysis of the input `index` was built over.
+/// 3-conflicts are computed only when `find_3conflicts` (CTCR enables it
+/// for thresholds < 1). `pool` defaults to the process-wide pool; pass a
+/// 1-thread pool for serial execution. Results are identical either way.
+ConflictAnalysis AnalyzeConflicts(const kernel::ItemSetIndex& index,
                                   const Similarity& sim,
                                   bool find_3conflicts = true,
-                                  ThreadPool* pool = nullptr,
-                                  const kernel::ItemSetIndex* index = nullptr);
+                                  ThreadPool* pool = nullptr);
 
 /// Weighted average number of 2-conflicts per input set — the C2(Q,W)
 /// quantity of Theorem 3.1 (the Exact-variant approximation guarantee).

@@ -86,7 +86,7 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   const size_t n = input.num_sets();
   const bool general = UsesThresholdBelowOne(input, sim);
 
-  // Acceleration index shared by every phase of this run (built here once
+  // The item -> sets index every phase of this run reads (built here once
   // unless the caller supplied one).
   kernel::ItemSetIndex local_index;
   const kernel::ItemSetIndex* index = options.index;
@@ -94,11 +94,12 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
     local_index = kernel::ItemSetIndex::Build(input);
     index = &local_index;
   }
+  OCT_DCHECK(&index->input() == &input);
 
   // Lines 1-9: ranking + conflict (hyper)graph.
   Timer timer;
-  result.analysis = AnalyzeConflicts(input, sim, /*find_3conflicts=*/general,
-                                     options.pool, index);
+  result.analysis = AnalyzeConflicts(*index, sim, /*find_3conflicts=*/general,
+                                     options.pool);
   result.seconds_conflicts = timer.ElapsedSeconds();
   conflicts_us->Record(result.seconds_conflicts * 1e6);
   conflicts2_total->Increment(result.analysis.conflicts2.size());
@@ -187,13 +188,12 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   // on up to `bound` branches directly — "each item is duplicated according
   // to its bound" (Section 3.3, Extensions).
   {
-    const auto& inverted = index->inverted();
     const TreeIndex shape = TreeIndex::Build(tree);
     const bool defer_duplicates = UsesItemAssignment(sim);
     std::vector<NodeId> nodes;
     for (ItemId item = 0; item < input.universe_size(); ++item) {
       nodes.clear();
-      for (SetId q : inverted[item]) {
+      for (SetId q : index->SetsOf(item)) {
         if (in_s[q]) nodes.push_back(cat_of[q]);
       }
       if (nodes.empty()) continue;
@@ -227,7 +227,7 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
       const uint32_t bound = input.ItemBound(item);
       if (chain_heads.size() > bound) {
         std::vector<double> chain_weight(chain_heads.size(), 0.0);
-        for (SetId q : inverted[item]) {
+        for (SetId q : index->SetsOf(item)) {
           if (!in_s[q]) continue;
           for (size_t c = 0; c < chain_heads.size(); ++c) {
             if (tree.OnSameBranch(chain_heads[c], cat_of[q])) {
@@ -283,7 +283,7 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   if (!out_of_budget && options.condense && general) {
     OCT_SPAN("ctcr/condense");
     Timer pass;
-    CondenseTree(input, sim, &tree, /*protect=*/{}, exclude_cover);
+    CondenseTree(*index, sim, &tree, exclude_cover);
     condense_us->Record(pass.ElapsedSeconds() * 1e6);
   }
 

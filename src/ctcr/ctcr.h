@@ -32,8 +32,8 @@ struct CtcrOptions {
   /// Thread pool for the parallel phases (null: process default).
   ThreadPool* pool = nullptr;
   /// Prebuilt kernel::ItemSetIndex over the input (not owned; may be null,
-  /// in which case CTCR builds one for the run). Callers that run several
-  /// pipelines on one dataset build it once and share it.
+  /// in which case CTCR builds one for the run), read by every phase.
+  /// Callers that run several pipelines on one dataset build it once.
   const kernel::ItemSetIndex* index = nullptr;
   /// Disable to skip lines 21-23 (intermediate categories) — ablation knob.
   bool add_intermediate_categories = true;

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "kernel/bitset.h"
+#include "kernel/item_set_index.h"
 #include "kernel/pairwise.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -76,29 +77,11 @@ void MergeSimilarSets(const Similarity& sim, size_t max_passes,
     }
   }
   kernel::BitSet probe(universe);
-  // Per-pass item -> sets index as a CSR: the sets holding `item` are
-  // postings[offsets[item] .. offsets[item + 1]), in ascending set order.
-  OCT_CHECK_LE(sets->size(), size_t{UINT32_MAX});
-  std::vector<uint32_t> offsets(universe + 1);
-  std::vector<uint32_t> cursor;
-  std::vector<uint32_t> postings;
+  // Item -> sets of this pass, in ascending set order.
+  kernel::ItemPostings postings;
   for (size_t pass = 0; pass < max_passes; ++pass) {
     bool merged_any = false;
-    std::fill(offsets.begin(), offsets.end(), 0);
-    size_t total = 0;
-    for (const CandidateSet& cs : *sets) {
-      for (ItemId item : cs.items) ++offsets[item + 1];
-      total += cs.items.size();
-    }
-    OCT_CHECK_LE(total, size_t{UINT32_MAX});
-    for (size_t u = 0; u < universe; ++u) offsets[u + 1] += offsets[u];
-    cursor.assign(offsets.begin(), offsets.end() - 1);
-    postings.resize(total);
-    for (size_t i = 0; i < sets->size(); ++i) {
-      for (ItemId item : (*sets)[i].items) {
-        postings[cursor[item]++] = static_cast<uint32_t>(i);
-      }
-    }
+    postings.Assign(*sets, universe);
     std::vector<char> dead(sets->size(), 0);
     std::vector<size_t> candidates;
     for (size_t i = 0; i < sets->size(); ++i) {
@@ -117,9 +100,7 @@ void MergeSimilarSets(const Similarity& sim, size_t max_passes,
           items_i.size() >= o_min ? items_i.size() - o_min + 1 : 0;
       candidates.clear();
       for (size_t p = 0; p < prefix; ++p) {
-        const ItemId item = items_i.items()[p];
-        for (uint32_t k = offsets[item]; k < offsets[item + 1]; ++k) {
-          const size_t j = postings[k];
+        for (SetId j : postings.SetsOf(items_i.items()[p])) {
           if (j > i && !dead[j]) candidates.push_back(j);
         }
       }

@@ -10,8 +10,8 @@
 //     DeltaBuilder's component cache keys on.
 //
 // The working set also owns the impact-analysis substrate: an
-// incrementally-maintained item -> alive-slots inverted index (the same
-// shape kernel::ItemSetIndex builds batch-style), folded through
+// item -> alive-slots inverted index kept as lists that every batch edits
+// (kernel::ItemSetIndex builds the same map once, as a CSR), folded through
 // kernel::UnionFind into intersection-graph components. Two sets can
 // conflict, must-cover-together, or compete for an item only when they
 // share an item — so a component is exactly the region of the conflict

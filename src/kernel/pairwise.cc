@@ -21,12 +21,10 @@ const std::vector<PairCount>& OverlapScratch::Partners(SetId q,
                                                        bool later_only) {
   out_.clear();
   touched_.clear();
-  const auto& inverted = index_->inverted();
-  const OctInput& input = index_->input();
   const bool track_strict = strict_item_ != nullptr;
-  for (ItemId item : input.set(q).items) {
+  for (ItemId item : index_->input().set(q).items) {
     const bool strict = !track_strict || (*strict_item_)[item] != 0;
-    for (SetId other : inverted[item]) {
+    for (SetId other : index_->SetsOf(item)) {
       if (later_only && other <= q) continue;
       if (inter_[other]++ == 0) touched_.push_back(other);
       if (track_strict && strict) ++inter_strict_[other];

@@ -2,7 +2,7 @@
 // input sets that share at least one item, plus the dense distance-matrix
 // kernel behind CCT and the prefix-filter bounds behind query merging.
 //
-// The scans are driven by the ItemSetIndex inverted lists, so disjoint
+// The scans are driven by the ItemSetIndex item -> sets lists, so disjoint
 // pairs are never touched ("candidate pruning"); the `kernel.pairs_pruned`
 // counter records how many of the O(n^2) pairs were skipped that way, and
 // `kernel.pairs_visited` how many were actually counted. Each worker chunk
@@ -38,9 +38,9 @@ struct PairCount {
 };
 
 /// Reusable per-thread scratch for overlap counting. Partners() walks the
-/// inverted lists of one set's items and emits every intersecting partner
-/// with its exact count — in first-touch order, which is deterministic
-/// (items ascending, inverted lists ascending).
+/// item -> sets lists of one set's items and emits every intersecting
+/// partner with its exact count — in first-touch order, which is
+/// deterministic (items ascending, each list ascending).
 class OverlapScratch {
  public:
   explicit OverlapScratch(const ItemSetIndex& index);

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/existing_tree.h"
 #include "baselines/ic_q.h"
 #include "baselines/ic_s.h"
 #include "core/scoring.h"
 #include "data/catalog.h"
+#include "kernel/item_set_index.h"
 
 namespace oct {
 namespace baselines {
@@ -111,14 +114,16 @@ TEST(IcQ, ProducesValidTreeAndGroupsBySignature) {
   const CategoryTree tree = BuildIcQTree(input);
   EXPECT_TRUE(tree.ValidateModel(input).ok());
   // Items sharing a leaf have identical set membership.
-  const auto index = input.BuildInvertedIndex();
+  const kernel::ItemSetIndex index = kernel::ItemSetIndex::Build(input);
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {
     if (!tree.IsAlive(id) || !tree.IsLeaf(id)) continue;
     if (tree.node(id).label == "misc") continue;
     const ItemSet& items = tree.node(id).direct_items;
     if (items.size() < 2) continue;
-    const auto& sig = index[*items.begin()];
-    for (ItemId item : items) EXPECT_EQ(index[item], sig);
+    const auto sig = index.SetsOf(*items.begin());
+    for (ItemId item : items) {
+      EXPECT_TRUE(std::ranges::equal(index.SetsOf(item), sig));
+    }
   }
 }
 

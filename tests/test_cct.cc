@@ -11,6 +11,7 @@
 #include "cct/cct.h"
 #include "cct/embedding.h"
 #include "core/scoring.h"
+#include "kernel/item_set_index.h"
 #include "paper_inputs.h"
 #include "util/rng.h"
 
@@ -20,10 +21,15 @@ namespace {
 
 using testing_inputs::Figure2Input;
 
+/// EmbedInputSets over a fresh index of `input`.
+Embeddings Embed(const OctInput& input, const Similarity& sim) {
+  return EmbedInputSets(kernel::ItemSetIndex::Build(input), sim);
+}
+
 TEST(Embedding, DiagonalIsOne) {
   const OctInput input = Figure2Input();
   const Embeddings emb =
-      EmbedInputSets(input, Similarity(Variant::kJaccardThreshold, 0.6));
+      Embed(input, Similarity(Variant::kJaccardThreshold, 0.6));
   for (size_t q = 0; q < input.num_sets(); ++q) {
     const auto dense = emb.Dense(q, input.num_sets());
     EXPECT_FLOAT_EQ(dense[q], 1.0f);  // S(q, q) = 1.
@@ -33,7 +39,7 @@ TEST(Embedding, DiagonalIsOne) {
 TEST(Embedding, JaccardEntriesMatchPairwiseSimilarities) {
   const OctInput input = Figure2Input();
   const Embeddings emb =
-      EmbedInputSets(input, Similarity(Variant::kJaccardThreshold, 0.6));
+      Embed(input, Similarity(Variant::kJaccardThreshold, 0.6));
   const auto dense0 = emb.Dense(0, 4);
   // J(q1, q2) = 2/5; J(q1, q3) = 3/6; J(q1, q4) = 2/9.
   EXPECT_NEAR(dense0[1], 0.4f, 1e-6);
@@ -44,7 +50,7 @@ TEST(Embedding, JaccardEntriesMatchPairwiseSimilarities) {
 TEST(Embedding, PerfectRecallUsesMeanOfPrecisionAndRecall) {
   const OctInput input = Figure2Input();
   const Embeddings emb =
-      EmbedInputSets(input, Similarity(Variant::kPerfectRecall, 0.8));
+      Embed(input, Similarity(Variant::kPerfectRecall, 0.8));
   const auto dense1 = emb.Dense(1, 4);  // q2 = {a,b}.
   // r(q2, q1) = 2/2, p(q2, q1) = |q2∩q1|/|q1| = 2/5 -> 0.7.
   EXPECT_NEAR(dense1[0], 0.7f, 1e-6);
@@ -53,7 +59,7 @@ TEST(Embedding, PerfectRecallUsesMeanOfPrecisionAndRecall) {
 TEST(Embedding, DistanceMatchesDenseEuclidean) {
   const OctInput input = Figure2Input();
   const Embeddings emb =
-      EmbedInputSets(input, Similarity(Variant::kF1Cutoff, 0.6));
+      Embed(input, Similarity(Variant::kF1Cutoff, 0.6));
   for (size_t a = 0; a < 4; ++a) {
     for (size_t b = 0; b < 4; ++b) {
       const auto da = emb.Dense(a, 4);
@@ -135,7 +141,7 @@ TEST(Agglomerative, AllLeavesAppearExactlyOnce) {
 TEST(TreeFromDendrogram, LeavesCarrySourceSets) {
   const OctInput input = Figure2Input();
   const Embeddings emb =
-      EmbedInputSets(input, Similarity(Variant::kJaccardThreshold, 0.6));
+      Embed(input, Similarity(Variant::kJaccardThreshold, 0.6));
   const Dendrogram d = AgglomerativeCluster(
       4, [&](size_t a, size_t b) { return emb.Distance(a, b); });
   std::vector<NodeId> cat_of;

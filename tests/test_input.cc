@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "core/input.h"
+#include "kernel/item_set_index.h"
 #include "paper_inputs.h"
 
 namespace oct {
@@ -36,6 +41,15 @@ TEST(OctInput, ValidateRejectsNegativeWeight) {
   OctInput input(5);
   input.Add(ItemSet({1}), -1.0);
   EXPECT_FALSE(input.Validate().ok());
+}
+
+TEST(OctInput, ValidateRejectsNonFiniteWeight) {
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    OctInput input(5);
+    input.Add(ItemSet({1}), weight);
+    EXPECT_FALSE(input.Validate().ok()) << weight;
+  }
 }
 
 TEST(OctInput, ValidateRejectsOutOfUniverseItem) {
@@ -78,12 +92,13 @@ TEST(OctInput, ItemBoundDefaultsToOne) {
 
 TEST(OctInput, InvertedIndex) {
   const OctInput input = testing_inputs::Figure2Input();
-  const auto index = input.BuildInvertedIndex();
-  ASSERT_EQ(index.size(), 9u);
+  const kernel::ItemSetIndex index = kernel::ItemSetIndex::Build(input);
   // Item a (0) appears in q1, q2, q4.
-  EXPECT_EQ(index[testing_inputs::a], (std::vector<SetId>{0, 1, 3}));
+  EXPECT_TRUE(std::ranges::equal(index.SetsOf(testing_inputs::a),
+                                 std::vector<SetId>{0, 1, 3}));
   // Item f (5) appears in q3, q4.
-  EXPECT_EQ(index[testing_inputs::f], (std::vector<SetId>{2, 3}));
+  EXPECT_TRUE(std::ranges::equal(index.SetsOf(testing_inputs::f),
+                                 std::vector<SetId>{2, 3}));
 }
 
 TEST(OctInput, AllItems) {

@@ -1,12 +1,17 @@
 // Cross-module integration tests: full pipeline runs (dataset -> algorithm
-// -> score), storage-format round-trips of algorithm outputs, compaction
+// -> score), pinned trees of every pipeline that reads the item -> sets
+// index, storage-format round-trips of algorithm outputs, compaction
 // invariance, tree-diff sanity against the ET baseline, and CCT property
 // sweeps over random inputs.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <tuple>
+#include <utility>
 
+#include "baselines/ic_q.h"
 #include "cct/cct.h"
 #include "core/scoring.h"
 #include "core/serialization.h"
@@ -40,6 +45,84 @@ TEST(Integration, PipelineEndToEndProducesValidScoredTree) {
     if (run.tree.IsAlive(id)) placed += run.tree.node(id).direct_items.size();
   }
   EXPECT_EQ(placed, ds.catalog->num_items());
+}
+
+/// FNV-1a over the bytes of `text`.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  for (unsigned char ch : text) {
+    digest ^= ch;
+    digest *= 0x100000001B3ULL;
+  }
+  return digest;
+}
+
+// Pinned trees, on datasets A-C at 8%, of every pipeline that asks which
+// sets hold an item: CTCR under the three variants beside the Jaccard one
+// that test_tree_ops pins, CCT under all four, and IC-Q on A and B (C takes
+// about 0.5 s per IC-Q build). A change to how the item -> sets index is
+// built or read must reproduce them byte for byte.
+TEST(Integration, TreesMatchPinnedDigests) {
+  enum class Pipeline { kCtcr, kCct, kIcQ };
+  struct Pinned {
+    Pipeline pipeline;
+    Variant variant;
+    double delta;
+    char dataset;
+    uint64_t digest;  // FNV-1a of SerializeTree.
+  };
+  using enum Pipeline;
+  using enum Variant;
+  const Pinned kPinned[] = {
+      {kCtcr, kF1Threshold, 0.8, 'A', 0x9827445bd3db40a9ULL},
+      {kCtcr, kF1Threshold, 0.8, 'B', 0x4c1d9929758d4dbdULL},
+      {kCtcr, kF1Threshold, 0.8, 'C', 0x38afae98cd84cba7ULL},
+      {kCtcr, kExact, 1.0, 'A', 0x7137ed83ca90e758ULL},
+      {kCtcr, kExact, 1.0, 'B', 0xdd7c680e6ed7ae31ULL},
+      {kCtcr, kExact, 1.0, 'C', 0xf0850da3be137742ULL},
+      {kCtcr, kPerfectRecall, 0.9, 'A', 0xd5cab111d036ad62ULL},
+      {kCtcr, kPerfectRecall, 0.9, 'B', 0xb783368d93a19a1bULL},
+      {kCtcr, kPerfectRecall, 0.9, 'C', 0x5d7b2aa252500c06ULL},
+      {kCct, kJaccardThreshold, 0.8, 'A', 0xd938716254167a23ULL},
+      {kCct, kJaccardThreshold, 0.8, 'B', 0x6d90f2bc74791b8eULL},
+      {kCct, kJaccardThreshold, 0.8, 'C', 0xe400f3500e13e2d2ULL},
+      {kCct, kF1Threshold, 0.8, 'A', 0xe493cbc0b1fe47fdULL},
+      {kCct, kF1Threshold, 0.8, 'B', 0x6e490ed027b83153ULL},
+      {kCct, kF1Threshold, 0.8, 'C', 0x933b7a6255d24009ULL},
+      {kCct, kExact, 1.0, 'A', 0x5731e40d6327e860ULL},
+      {kCct, kExact, 1.0, 'B', 0x6fca1bf06c4f5011ULL},
+      {kCct, kExact, 1.0, 'C', 0xc70e2958f1981d41ULL},
+      {kCct, kPerfectRecall, 0.9, 'A', 0xbea9496a1bb56030ULL},
+      {kCct, kPerfectRecall, 0.9, 'B', 0xb2159c590c9f3da4ULL},
+      {kCct, kPerfectRecall, 0.9, 'C', 0xe4a1c604c9dd2ca2ULL},
+      {kIcQ, kJaccardThreshold, 0.8, 'A', 0x1cca2429635f2294ULL},
+      {kIcQ, kJaccardThreshold, 0.8, 'B', 0x68a3d2d8514f34e8ULL},
+  };
+  std::map<std::pair<Variant, char>, data::Dataset> datasets;
+  for (const Pinned& pinned : kPinned) {
+    const Similarity sim(pinned.variant, pinned.delta);
+    const std::pair key(pinned.variant, pinned.dataset);
+    if (!datasets.count(key)) {
+      datasets.emplace(key, data::MakeDataset(pinned.dataset, sim, 0.08));
+    }
+    const OctInput& input = datasets.at(key).input;
+    CategoryTree tree;
+    switch (pinned.pipeline) {
+      case kCtcr:
+        tree = ctcr::BuildCategoryTree(input, sim).tree;
+        break;
+      case kCct:
+        tree = cct::BuildCategoryTree(input, sim).tree;
+        break;
+      case kIcQ:
+        tree = baselines::BuildIcQTree(input);
+        break;
+    }
+    const uint64_t digest = Fnv1a(SerializeTree(tree));
+    EXPECT_EQ(digest, pinned.digest)
+        << static_cast<int>(pinned.pipeline) << " " << sim.ToString() << " "
+        << pinned.dataset << std::hex << " 0x" << digest;
+  }
 }
 
 TEST(Integration, SerializedTreeScoresIdentically) {

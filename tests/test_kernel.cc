@@ -1,13 +1,15 @@
 // Property / equivalence tests for oct::kernel: BitSet probes vs the
-// merge-based ItemSet intersection, the ItemSetIndex inverted lists, the
-// OverlapScratch pairwise scan vs brute force, the prefix-filter bounds,
-// the condensed distance kernel vs the serial Embeddings::Distance oracle,
-// and end-to-end conflict / CCT equivalence with the index on vs off.
+// merge-based ItemSet intersection, the ItemSetIndex item -> sets lists,
+// the OverlapScratch pairwise scan vs brute force, the prefix-filter
+// bounds, the condensed distance kernel vs the serial Embeddings::Distance
+// oracle, the embeddings vs brute force, and end-to-end conflict / CCT
+// equivalence with a prebuilt index vs a fresh one.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "cct/cct.h"
@@ -166,15 +168,32 @@ TEST(SubtreeCounter, CountsAnItemOnceAtCommonAncestors) {
 TEST(ItemSetIndex, InvertedListsAreExactAndSorted) {
   const OctInput input = RandomInput(500, 60, 30, 3);
   const ItemSetIndex index = ItemSetIndex::Build(input);
-  ASSERT_EQ(index.inverted().size(), input.universe_size());
   for (ItemId item = 0; item < input.universe_size(); ++item) {
-    const auto& list = index.inverted()[item];
+    const std::span<const SetId> list = index.SetsOf(item);
     EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
     for (SetId q = 0; q < input.num_sets(); ++q) {
       const bool listed =
           std::binary_search(list.begin(), list.end(), q);
       EXPECT_EQ(listed, input.set(q).items.Contains(item));
     }
+  }
+}
+
+// The merge rebuilds one map per pass over fewer sets: a second Assign
+// must leave nothing of the first.
+TEST(ItemPostings, ReassignReplacesTheMap) {
+  const OctInput big = RandomInput(500, 60, 30, 5);
+  const OctInput small = RandomInput(200, 10, 20, 7);
+  ItemPostings postings;
+  postings.Assign(big.sets(), big.universe_size());
+  postings.Assign(small.sets(), small.universe_size());
+  for (ItemId item = 0; item < small.universe_size(); ++item) {
+    std::vector<SetId> expected;
+    for (SetId q = 0; q < small.num_sets(); ++q) {
+      if (small.set(q).items.Contains(item)) expected.push_back(q);
+    }
+    EXPECT_TRUE(std::ranges::equal(postings.SetsOf(item), expected))
+        << "item " << item;
   }
 }
 
@@ -284,7 +303,8 @@ TEST(PrefixFilter, MinOverlapBoundsAreSoundAndTight) {
 TEST(CondensedDistances, BitIdenticalToSerialOracle) {
   const OctInput input = RandomInput(900, 70, 45, 23);
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
-  const cct::Embeddings emb = cct::EmbedInputSets(input, sim);
+  const cct::Embeddings emb =
+      cct::EmbedInputSets(ItemSetIndex::Build(input), sim);
   const size_t n = emb.num_rows();
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -303,22 +323,34 @@ TEST(CondensedDistances, BitIdenticalToSerialOracle) {
   }
 }
 
-TEST(Embeddings, IdenticalWithAndWithoutIndex) {
+// Each row against every set by brute force: the same columns and values,
+// and the same norm up to summation order.
+TEST(Embeddings, MatchBruteForce) {
   const OctInput input = RandomInput(700, 60, 35, 29);
   const Similarity sim(Variant::kPerfectRecall, 0.8);
-  const ItemSetIndex index = ItemSetIndex::Build(input);
-  const cct::Embeddings plain = cct::EmbedInputSets(input, sim);
-  const cct::Embeddings indexed = cct::EmbedInputSets(input, sim, &index);
-  ASSERT_EQ(plain.num_rows(), indexed.num_rows());
-  EXPECT_EQ(plain.squared_norms(), indexed.squared_norms());
-  for (size_t r = 0; r < plain.num_rows(); ++r) {
-    const auto& a = plain.rows()[r];
-    const auto& b = indexed.rows()[r];
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t e = 0; e < a.size(); ++e) {
-      EXPECT_EQ(a[e].col, b[e].col);
-      EXPECT_EQ(a[e].value, b[e].value);
+  const cct::Embeddings emb =
+      cct::EmbedInputSets(ItemSetIndex::Build(input), sim);
+  ASSERT_EQ(emb.num_rows(), input.num_sets());
+  for (SetId q = 0; q < input.num_sets(); ++q) {
+    const ItemSet& a = input.set(q).items;
+    std::vector<cct::Embeddings::Entry> expected;
+    double norm = 0.0;
+    for (SetId other = 0; other < input.num_sets(); ++other) {
+      const ItemSet& b = input.set(other).items;
+      const size_t inter = a.Intersect(b).size();
+      if (inter == 0) continue;
+      const double value = 0.5 * (RecallFromSizes(a.size(), inter) +
+                                  PrecisionFromSizes(b.size(), inter));
+      expected.push_back({other, static_cast<float>(value)});
+      norm += value * value;
     }
+    const auto& row = emb.row(q);
+    ASSERT_EQ(row.size(), expected.size()) << "row " << q;
+    for (size_t e = 0; e < row.size(); ++e) {
+      EXPECT_EQ(row[e].col, expected[e].col);
+      EXPECT_EQ(row[e].value, expected[e].value);
+    }
+    EXPECT_NEAR(emb.SquaredNorm(q), norm, 1e-9 * norm);
   }
 }
 
@@ -333,21 +365,19 @@ void ExpectSameAnalysis(const ctcr::ConflictAnalysis& x,
   EXPECT_EQ(x.pairs_examined, y.pairs_examined);
 }
 
-TEST(ConflictEquivalence, DatasetAIndexOnOffAndSerialParallel) {
+TEST(ConflictEquivalence, DatasetAFreshIndexAndSerialParallel) {
   // Exact variant: every properly-overlapping pair conflicts, so the
   // dataset is guaranteed to exercise the scan.
   const Similarity sim(Variant::kExact, 1.0);
   const data::Dataset ds = data::MakeDataset('A', sim, 0.05);
   const ItemSetIndex index = ItemSetIndex::Build(ds.input);
   ThreadPool serial(1);
-  const auto base =
-      ctcr::AnalyzeConflicts(ds.input, sim, /*find_3conflicts=*/true,
-                             &serial, nullptr);
-  const auto with_index =
-      ctcr::AnalyzeConflicts(ds.input, sim, true, &serial, &index);
-  const auto parallel =
-      ctcr::AnalyzeConflicts(ds.input, sim, true, nullptr, &index);
-  ExpectSameAnalysis(base, with_index);
+  const auto base = ctcr::AnalyzeConflicts(index, sim,
+                                           /*find_3conflicts=*/true, &serial);
+  const auto fresh = ctcr::AnalyzeConflicts(ItemSetIndex::Build(ds.input),
+                                            sim, true, &serial);
+  const auto parallel = ctcr::AnalyzeConflicts(index, sim, true, nullptr);
+  ExpectSameAnalysis(base, fresh);
   ExpectSameAnalysis(base, parallel);
   EXPECT_FALSE(base.conflicts2.empty());  // The dataset must exercise us.
 }

@@ -132,6 +132,55 @@ TEST(InputSerialization, RejectsGarbage) {
       ParseInput("octree-input v1\nuniverse 2\nset 1 - q : 5\n").ok());
 }
 
+// Each of these crashed the parser or was read as another value.
+TEST(InputSerialization, RejectsMalformedNumbers) {
+  const std::string head = "octree-input v1\nuniverse 8\n";
+  const std::string bad[] = {
+      // Non-finite weights and thresholds.
+      head + "set nan - q : 1 2\n",
+      head + "set inf - q : 1 2\n",
+      head + "set -inf - q : 1 2\n",
+      head + "set 1 nan q : 1 2\n",
+      head + "set 1e999 - q : 1 2\n",
+      // A negative universe once wrapped to 18446744073709551615.
+      "octree-input v1\nuniverse -1\nset 1 - q : 1\n",
+      "octree-input v1\nuniverse 4294967297\nset 1 - q : 1\n",
+      // Item 2^32 once became item 0, and bound 2^32 + 1 became 1.
+      head + "set 1 - q : 4294967296\n",
+      "octree-input v1\nuniverse 2\nbounds 1 4294967297\nset 1 - q : 1\n",
+      // Signs and trailing junk.
+      head + "set 1 - q : +1\n",
+      head + "set 1 - q : -1\n",
+      head + "set +1 - q : 1\n",
+      head + "set 1 - q : 1x\n",
+      "octree-input v1\nuniverse 0x8\nset 1 - q : 1\n",
+  };
+  for (const std::string& text : bad) {
+    const auto parsed = ParseInput(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(InputSerialization, SkipsBlankLines) {
+  // A line of only spaces once crashed the parser.
+  const auto parsed = ParseInput(
+      "octree-input v1\n   \nuniverse 4\n\n \nset 1 - q : 1 2\n  \n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->universe_size(), 4u);
+  ASSERT_EQ(parsed->num_sets(), 1u);
+  EXPECT_EQ(parsed->set(0).items, ItemSet({1, 2}));
+}
+
+// The largest values the format holds still parse.
+TEST(InputSerialization, AcceptsTheLargestIds) {
+  const auto parsed = ParseInput(
+      "octree-input v1\nuniverse 4294967296\nset 1 - q : 4294967295\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->universe_size(), 4294967296u);
+  EXPECT_EQ(parsed->set(0).items, ItemSet({4294967295u}));
+}
+
 TEST(TreeSerialization, CanonicalFormCompactsIdsAndTombstones) {
   CategoryTree tree;
   const NodeId a = tree.AddCategory(tree.root(), "shirts", 0);

@@ -11,6 +11,7 @@
 #include "core/tree_ops.h"
 #include "ctcr/ctcr.h"
 #include "data/datasets.h"
+#include "kernel/item_set_index.h"
 #include "reference_tree_ops.h"
 #include "util/rng.h"
 
@@ -220,7 +221,8 @@ TEST(Condense, RemovesNonCoveringCategoryAndKeepsItems) {
   tree.AssignItem(b, 2);
   tree.AssignItem(b, 3);
   const Similarity sim(Variant::kJaccardThreshold, 0.9);
-  const CondenseStats stats = CondenseTree(input, sim, &tree);
+  const CondenseStats stats =
+      CondenseTree(kernel::ItemSetIndex::Build(input), sim, &tree);
   EXPECT_EQ(stats.categories_removed, 1u);
   EXPECT_TRUE(tree.IsAlive(a));
   EXPECT_FALSE(tree.IsAlive(b));
@@ -239,7 +241,8 @@ TEST(Condense, RemovesItemsOnlyInUncoveredSets) {
   tree.AssignItem(a, 1);
   tree.AssignItem(a, 4);  // Pollutes A with an uncovered-set item.
   const Similarity sim(Variant::kJaccardThreshold, 0.6);
-  const CondenseStats stats = CondenseTree(input, sim, &tree);
+  const CondenseStats stats =
+      CondenseTree(kernel::ItemSetIndex::Build(input), sim, &tree);
   EXPECT_GE(stats.items_removed, 1u);
   EXPECT_FALSE(tree.ItemSetOf(a).Contains(4));
   // Removing 4 raises A's precision: J(covered, A) = 1 now.
@@ -257,21 +260,48 @@ TEST(Condense, KeepsHighestPrecisionCoverOnTies) {
   // loose cannot hold the same items (bound 1); give it a weaker overlap.
   for (ItemId x : {3u, 4u}) tree.AssignItem(loose, x);
   const Similarity sim(Variant::kJaccardThreshold, 0.5);
-  CondenseTree(input, sim, &tree);
+  CondenseTree(kernel::ItemSetIndex::Build(input), sim, &tree);
   EXPECT_TRUE(tree.IsAlive(precise));
   EXPECT_FALSE(tree.IsAlive(loose));
 }
 
-TEST(Condense, ProtectedNodesSurvive) {
-  OctInput input(4);
-  input.Add(ItemSet({0}), 1.0, "q");
+// Removing a category lifts its children, and the best-cover tie-break
+// reads depth and then NodeId. q0 ties at Jaccard 0.5 with Y, R and X;
+// condensing's own annotation gives it to X, the deepest, and keeps X.
+// Removing R (which covers nothing) lifts X to Y's depth, so a fresh
+// annotation gives q0 to Y, the smaller id. The annotation CTCR and CCT run
+// after condensing is therefore needed even when no misc category is added.
+TEST(Condense, RemovalCanMoveABestCover) {
+  OctInput input(21);
+  const SetId q0 = input.Add(ItemSet({1, 2, 3, 4}), 1.0, "q0");
+  const SetId q1 = input.Add(ItemSet({3, 4}), 1.0, "q1");
+  std::vector<ItemId> tail;
+  for (ItemId item = 5; item <= 20; ++item) tail.push_back(item);
+  const SetId q2 = input.Add(ItemSet(tail), 1.0, "q2");
   CategoryTree tree;
-  const NodeId covering = tree.AddCategory(tree.root(), "covering");
-  tree.AssignItem(covering, 0);
-  const NodeId pinned = tree.AddCategory(tree.root(), "pinned");
-  const Similarity sim(Variant::kJaccardThreshold, 0.9);
-  CondenseTree(input, sim, &tree, /*protect=*/{pinned});
-  EXPECT_TRUE(tree.IsAlive(pinned));
+  const NodeId y = tree.AddCategory(tree.root(), "Y");
+  const NodeId r = tree.AddCategory(tree.root(), "R");
+  const NodeId x = tree.AddCategory(r, "X");
+  const NodeId z = tree.AddCategory(tree.root(), "Z");
+  ASSERT_LT(y, r);
+  ASSERT_LT(r, x);
+  for (ItemId item : {3u, 4u}) tree.AssignItem(y, item);
+  for (ItemId item : {1u, 2u}) tree.AssignItem(x, item);
+  for (ItemId item : tail) tree.AssignItem(z, item);
+  const Similarity sim(Variant::kJaccardCutoff, 0.5);
+
+  const CondenseStats stats =
+      CondenseTree(kernel::ItemSetIndex::Build(input), sim, &tree);
+  EXPECT_EQ(stats.categories_removed, 1u);
+  EXPECT_FALSE(tree.IsAlive(r));
+  EXPECT_EQ(tree.node(x).parent, tree.root());
+  EXPECT_EQ(tree.node(x).covered_sets, std::vector<SetId>{q0});
+  EXPECT_EQ(tree.node(y).covered_sets, std::vector<SetId>{q1});
+
+  AnnotateCoveredSets(input, sim, &tree);
+  EXPECT_TRUE(tree.node(x).covered_sets.empty());
+  EXPECT_EQ(tree.node(y).covered_sets, (std::vector<SetId>{q0, q1}));
+  EXPECT_EQ(tree.node(z).covered_sets, std::vector<SetId>{q2});
 }
 
 TEST(MiscCategory, CollectsUnassignedItems) {

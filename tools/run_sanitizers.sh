@@ -12,8 +12,10 @@
 # suites first — they are the densest sources of cross-thread
 # interleavings in the repo (tail-sampler shards vs. finishing requests;
 # snapshot publish vs. readers; concurrent routes vs. publishers). ubsan
-# builds with float-cast-overflow on top of -fsanitize=undefined (see
-# CMakeLists.txt).
+# builds with float-cast-overflow on top of -fsanitize=undefined, and asan
+# with -D_GLIBCXX_ASSERTIONS, so the standard containers bounds-check
+# operator[] (an id read past a CSR's size but inside its capacity is
+# invisible to ASan alone; see CMakeLists.txt).
 #
 # Benchmarks and examples are skipped: they add nothing to sanitizer
 # coverage and google-benchmark is not instrumented.
