@@ -38,6 +38,7 @@
 #include "bench_util.h"
 #include "data/datasets.h"
 #include "data/query_log.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
 #include "obs/tail_sampler.h"
@@ -279,7 +280,7 @@ int main() {
               closed.ToAligned().c_str());
 
   std::printf("router stats: %s\n",
-              router.stats().Snapshot().ToString().c_str());
+              obs::MetricsToJson(router.stats().registry()).c_str());
 
   // --- Tracing overhead: propagation microbench + sampled closed loop. ---
   // The gate is on the *always-on* cost (no sampler installed): that is

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/export.h"
 #include "obs/expose.h"
 #include "obs/metrics.h"
 #include "serve/exposition.h"
@@ -33,6 +34,8 @@ using namespace oct;
 
 struct PhaseResult {
   uint64_t lookups = 0;
+  /// Lookups of an item the served tree places.
+  uint64_t hits = 0;
   double seconds = 0.0;
   double p50_micros = 0.0;
   double p99_micros = 0.0;
@@ -58,13 +61,14 @@ double EnvSeconds(const char* name, double fallback) {
 /// Runs `readers` lookup threads for ~`seconds`, with `publisher` (may be
 /// empty) running concurrently on the main thread. Latency is sampled on
 /// every 16th lookup to keep the timing overhead off the hot loop.
-PhaseResult RunPhase(serve::TreeStore& store, serve::ServeStats& stats,
-                     size_t num_items, size_t readers, double seconds,
+PhaseResult RunPhase(serve::TreeStore& store, size_t num_items,
+                     size_t readers, double seconds,
                      const std::function<uint64_t()>& publisher) {
   std::atomic<bool> done{false};
   std::atomic<size_t> started{0};
   std::vector<std::thread> threads;
   std::vector<uint64_t> lookups(readers, 0);
+  std::vector<uint64_t> hits(readers, 0);
   std::vector<uint64_t> version_bumps(readers, 0);
   std::vector<std::vector<double>> latencies(readers);
 
@@ -73,6 +77,7 @@ PhaseResult RunPhase(serve::TreeStore& store, serve::ServeStats& stats,
       started.fetch_add(1);
       Rng rng(1234 + r);
       uint64_t count = 0;
+      uint64_t found = 0;
       uint64_t bumps = 0;
       serve::TreeVersion last_version = 0;
       auto& lat = latencies[r];
@@ -83,7 +88,7 @@ PhaseResult RunPhase(serve::TreeStore& store, serve::ServeStats& stats,
         const auto snap = store.Current();
         const ItemId item =
             static_cast<ItemId>(rng.NextBelow(num_items + 8));
-        stats.RecordItemLookup(!snap->PlacementsOf(item).empty());
+        found += !snap->PlacementsOf(item).empty();
         if (sample) lat.push_back(op.ElapsedSeconds() * 1e6);
         if (snap->version() != last_version) {
           if (last_version != 0) ++bumps;
@@ -92,6 +97,7 @@ PhaseResult RunPhase(serve::TreeStore& store, serve::ServeStats& stats,
         ++count;
       }
       lookups[r] = count;
+      hits[r] = found;
       version_bumps[r] = bumps;
     });
   }
@@ -119,6 +125,7 @@ PhaseResult RunPhase(serve::TreeStore& store, serve::ServeStats& stats,
   std::vector<double> all;
   for (size_t r = 0; r < readers; ++r) {
     result.lookups += lookups[r];
+    result.hits += hits[r];
     result.versions_observed += version_bumps[r];
     all.insert(all.end(), latencies[r].begin(), latencies[r].end());
   }
@@ -173,7 +180,7 @@ int main() {
 
   // Phase 1: pure reads, no writer activity.
   const PhaseResult baseline =
-      RunPhase(store, stats, num_items, readers, seconds, nullptr);
+      RunPhase(store, num_items, readers, seconds, nullptr);
 
   // Phase 2: same read load while rebuilds + publishes churn. Alternate two
   // drifted inputs (fresh 10-day window vs. the full log) so every batch
@@ -198,7 +205,7 @@ int main() {
     return store.CurrentVersion() > before ? 1 : 0;
   };
   const PhaseResult contended =
-      RunPhase(store, stats, num_items, readers, seconds, publisher);
+      RunPhase(store, num_items, readers, seconds, publisher);
 
   TableWriter table({"phase", "lookups", "ops/s", "p50 us", "p99 us",
                      "publishes", "version bumps seen"});
@@ -246,6 +253,14 @@ int main() {
     exposition.Stop();
   }
   obs::SpanRing::InstallGlobal(nullptr);
-  std::printf("stats: %s\n", stats.Snapshot().ToString().c_str());
+  const uint64_t lookups = baseline.lookups + contended.lookups;
+  std::printf("lookups: %llu, hit rate %.3f\n",
+              static_cast<unsigned long long>(lookups),
+              lookups == 0 ? 0.0
+                           : static_cast<double>(baseline.hits +
+                                                 contended.hits) /
+                                 static_cast<double>(lookups));
+  std::printf("serve stats: %s\n",
+              obs::MetricsToJson(stats.registry()).c_str());
   return 0;
 }

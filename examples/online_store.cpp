@@ -28,6 +28,7 @@
 #include "core/serialization.h"
 #include "data/datasets.h"
 #include "delta/maintainer.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 #include "router/query_parse.h"
 #include "router/router.h"
@@ -160,9 +161,12 @@ int main() {
   std::printf("sample lookups against v%llu:\n",
               static_cast<unsigned long long>(snap->version()));
   size_t printed = 0;
+  size_t looked_up = 0;
+  size_t placed = 0;
   for (ItemId item = 0; printed < 4 && item < 5000; ++item) {
     const auto path = snap->LabeledPathOf(item);
-    stats.RecordItemLookup(!path.empty());
+    ++looked_up;
+    placed += !path.empty();
     if (path.size() < 3) continue;  // Show the interesting, deep ones.
     std::printf("  item %u: ", item);
     for (size_t i = 1; i < path.size(); ++i) {
@@ -173,6 +177,8 @@ int main() {
     std::printf("   [%zu items in subtree]\n", snap->SubtreeItemCount(leaf));
     ++printed;
   }
+  std::printf("  (%zu of %zu items looked up are placed)\n", placed,
+              looked_up);
 
   // --- Live query routing: the front end a user-facing search box hits.
   // Each text query resolves to a result set through the engine, then the
@@ -305,8 +311,8 @@ int main() {
     }
     const auto rolled = store.Rollback(1);
     if (rolled.ok()) {
-      stats.RecordPublish((*rolled)->version());
-      stats.RecordRollback();
+      stats.publishes.Increment();
+      stats.current_version.Set(static_cast<int64_t>((*rolled)->version()));
       std::printf("rolled back: v1's tree republished as v%llu\n",
                   static_cast<unsigned long long>((*rolled)->version()));
     }
@@ -364,9 +370,11 @@ int main() {
                 static_cast<unsigned long long>(rs.lag));
   }
 
-  std::printf("\nstats: %s\n", stats.Snapshot().ToString().c_str());
-  std::printf("router: %s\n", router.stats().Snapshot().ToString().c_str());
-  std::printf("delta: %s\n", maintainer.stats().Snapshot().ToString().c_str());
+  std::printf("\nserve: %s\n", obs::MetricsToJson(stats.registry()).c_str());
+  std::printf("router: %s\n",
+              obs::MetricsToJson(router.stats().registry()).c_str());
+  std::printf("delta: %s\n",
+              obs::MetricsToJson(maintainer.stats().registry()).c_str());
 
   // Keep the exposition endpoint up for scrapers before exiting (CI smoke
   // job; manual curl sessions). The serving objects above stay live.

@@ -39,6 +39,19 @@ ThreadPool* SerialPool() {
   return pool;
 }
 
+/// Counts one spliced tree handed out: its rebuilt and reused components
+/// and its end-to-end latency.
+void RecordSplicedTree(const DeltaApplyOutcome& outcome, double seconds,
+                       DeltaStats* stats) {
+  stats->components_rebuilt.Increment(outcome.dirty_components);
+  stats->components_reused.Increment(outcome.reused_components);
+  stats->sets_rebuilt.Increment(outcome.sets_rebuilt);
+  stats->last_dirty_components.Set(
+      static_cast<int64_t>(outcome.dirty_components));
+  stats->splices.Increment();
+  stats->apply_us.Record(seconds * 1e6);
+}
+
 void AppendCanon(const CategoryTree& tree, NodeId id, std::string* out) {
   std::vector<std::string> children;
   children.reserve(tree.node(id).children.size());
@@ -61,11 +74,9 @@ void AppendCanon(const CategoryTree& tree, NodeId id, std::string* out) {
 
 }  // namespace
 
-DeltaBuilder::DeltaBuilder(Similarity sim, DeltaBuilderOptions options,
-                           DeltaStats* stats)
+DeltaBuilder::DeltaBuilder(Similarity sim, DeltaBuilderOptions options)
     : sim_(std::move(sim)),
       options_(std::move(options)),
-      stats_(stats),
       working_(options_.universe_floor) {
   OCT_CHECK(options_.max_dirty_fraction > 0.0);
 }
@@ -144,7 +155,7 @@ std::shared_ptr<DeltaBuilder::ComponentResult> DeltaBuilder::BuildComponent(
     result->status = std::move(built.status);
   }
   result->slots = std::move(slots);
-  if (stats_ != nullptr) stats_->RecordComponentBuild(timer.ElapsedSeconds());
+  stats_.component_build_us.Record(timer.ElapsedSeconds() * 1e6);
   return result;
 }
 
@@ -317,7 +328,7 @@ Status DeltaBuilder::ResolveAndSplice(
     outcome->tree = std::move(tree);
   }
   outcome->seconds_splice = splice_timer.ElapsedSeconds();
-  if (stats_ != nullptr) stats_->RecordSplice(outcome->seconds_splice);
+  stats_.splice_us.Record(outcome->seconds_splice * 1e6);
 
   // Prune cache entries whose component shape has not recurred lately
   // (superseded signatures are unreachable and would otherwise leak).
@@ -341,9 +352,9 @@ Result<DeltaApplyOutcome> DeltaBuilder::ApplyBatch(const DeltaBatch& batch) {
   ++batch_counter_;
 
   const ApplyOpsResult applied = working_.ApplyBatch(batch);
-  if (stats_ != nullptr) {
-    stats_->RecordBatch(applied.ops_applied, applied.ops_noop);
-  }
+  stats_.batches.Increment();
+  stats_.ops_applied.Increment(applied.ops_applied);
+  stats_.ops_noop.Increment(applied.ops_noop);
 
   DeltaApplyOutcome outcome;
   outcome.touched_slots = applied.touched_slots.size();
@@ -354,20 +365,14 @@ Result<DeltaApplyOutcome> DeltaBuilder::ApplyBatch(const DeltaBatch& batch) {
     components = working_.ComputeComponents();
   }
   outcome.seconds_impact = impact_timer.ElapsedSeconds();
-  if (stats_ != nullptr) {
-    stats_->RecordImpact(outcome.seconds_impact);
-    stats_->SetShape(working_.num_alive(), components.members.size());
-  }
+  stats_.impact_us.Record(outcome.seconds_impact * 1e6);
+  stats_.working_sets.Set(static_cast<int64_t>(working_.num_alive()));
+  stats_.components_total.Set(static_cast<int64_t>(components.members.size()));
 
   OCT_RETURN_NOT_OK(ResolveAndSplice(components, /*bypass_cache=*/false,
                                      &outcome));
-  if (stats_ != nullptr) {
-    stats_->RecordComponents(outcome.dirty_components,
-                             outcome.reused_components, outcome.sets_rebuilt);
-    if (outcome.fallback_full) stats_->RecordFallbackFull();
-    stats_->RecordSplice();
-    stats_->RecordApply(total.ElapsedSeconds());
-  }
+  if (outcome.fallback_full) stats_.fallbacks_full.Increment();
+  RecordSplicedTree(outcome, total.ElapsedSeconds(), &stats_);
   return outcome;
 }
 
@@ -381,17 +386,11 @@ Result<DeltaApplyOutcome> DeltaBuilder::FullRebuild() {
   Timer impact_timer;
   const WorkingSet::Components components = working_.ComputeComponents();
   outcome.seconds_impact = impact_timer.ElapsedSeconds();
-  if (stats_ != nullptr) {
-    stats_->SetShape(working_.num_alive(), components.members.size());
-  }
+  stats_.working_sets.Set(static_cast<int64_t>(working_.num_alive()));
+  stats_.components_total.Set(static_cast<int64_t>(components.members.size()));
   OCT_RETURN_NOT_OK(ResolveAndSplice(components, /*bypass_cache=*/true,
                                      &outcome));
-  if (stats_ != nullptr) {
-    stats_->RecordComponents(outcome.dirty_components,
-                             outcome.reused_components, outcome.sets_rebuilt);
-    stats_->RecordSplice();
-    stats_->RecordApply(total.ElapsedSeconds());
-  }
+  RecordSplicedTree(outcome, total.ElapsedSeconds(), &stats_);
   return outcome;
 }
 
@@ -432,9 +431,8 @@ Status DeltaBuilder::VerifyEquivalence(const CategoryTree& spliced,
   const double gap = std::abs(sharded_score - plain_score);
   const bool score_ok = gap <= epsilon;
 
-  if (stats_ != nullptr) {
-    stats_->RecordEquivalenceCheck(structural_ok && score_ok);
-  }
+  stats_.equivalence_checks.Increment();
+  if (!structural_ok || !score_ok) stats_.equivalence_failures.Increment();
   if (!structural_ok) {
     return Status::Internal(
         "delta equivalence: spliced tree diverges structurally from a "

@@ -98,9 +98,8 @@ struct DeltaApplyOutcome {
 
 class DeltaBuilder {
  public:
-  /// `stats` may be null. The builder owns its working set.
-  explicit DeltaBuilder(Similarity sim, DeltaBuilderOptions options = {},
-                        DeltaStats* stats = nullptr);
+  /// The builder owns its working set and its stats.
+  explicit DeltaBuilder(Similarity sim, DeltaBuilderOptions options = {});
 
   DeltaBuilder(const DeltaBuilder&) = delete;
   DeltaBuilder& operator=(const DeltaBuilder&) = delete;
@@ -138,6 +137,7 @@ class DeltaBuilder {
   static std::string CanonicalTreeString(const CategoryTree& tree);
 
   size_t cache_size() const { return cache_.size(); }
+  const DeltaStats& stats() const { return stats_; }
 
  private:
   struct ComponentResult {
@@ -170,7 +170,7 @@ class DeltaBuilder {
 
   const Similarity sim_;
   const DeltaBuilderOptions options_;
-  DeltaStats* const stats_;
+  DeltaStats stats_;
   WorkingSet working_;
   std::unordered_map<uint64_t, std::shared_ptr<ComponentResult>> cache_;
   uint64_t batch_counter_ = 0;

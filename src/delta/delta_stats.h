@@ -1,117 +1,72 @@
-// DeltaStats: counters, gauges, and latency histograms of the incremental
-// maintenance path, backed by a per-instance obs::MetricsRegistry (the
-// ServeStats / RouterStats pattern) so tests and multi-maintainer
-// processes get independent numbers while the JSON/Prometheus exporters
-// keep working. All metric names live under delta.*.
+// DeltaStats: the incremental maintenance path's counters, gauges and
+// latency histograms, one member per metric, declared once with its series
+// name and help (the ServeStats pattern). The DeltaBuilder that owns them
+// increments them; /statusz, tests and benches read them in place. A
+// per-instance obs::MetricsRegistry keeps multi-maintainer processes'
+// numbers independent while registry() joins the /metrics and /varz merge.
+// All series live under delta.*.
 
 #ifndef OCT_DELTA_DELTA_STATS_H_
 #define OCT_DELTA_DELTA_STATS_H_
-
-#include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
 
 namespace oct {
 namespace delta {
 
-/// Plain-value copy of every delta metric, safe to pass around.
-struct DeltaStatsSnapshot {
-  /// Batches applied through DeltaBuilder::ApplyBatch.
-  uint64_t batches = 0;
-  /// Ops that changed the working set / ops that were no-ops.
-  uint64_t ops_applied = 0;
-  uint64_t ops_noop = 0;
-  /// Components rebuilt (dirty) vs. reused from the component cache.
-  uint64_t components_rebuilt = 0;
-  uint64_t components_reused = 0;
-  /// Candidate sets inside rebuilt components (the re-resolved sets).
-  uint64_t sets_rebuilt = 0;
-  /// Batches whose dirty region exceeded the drift bound and fell back to
-  /// a full rebuild of every component.
-  uint64_t fallbacks_full = 0;
-  /// Spliced trees handed out (whether or not the caller published them).
-  uint64_t splices = 0;
-  /// Equivalence-harness runs / divergences beyond epsilon.
-  uint64_t equivalence_checks = 0;
-  uint64_t equivalence_failures = 0;
-  /// Gauges: alive candidate sets, intersection-graph components, and the
-  /// dirty-component count of the most recent batch.
-  int64_t working_sets = 0;
-  int64_t components_total = 0;
-  int64_t last_dirty_components = 0;
-
-  double ReuseRate() const {
-    const uint64_t total = components_rebuilt + components_reused;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(components_reused) /
-                     static_cast<double>(total);
-  }
-
-  /// One-line "k=v k=v ..." rendering for logs.
-  std::string ToString() const;
-};
-
 class DeltaStats {
+  // Declared first: every member below registers into it.
+  obs::MetricsRegistry registry_;
+
  public:
-  DeltaStats();
-  DeltaStats(const DeltaStats&) = delete;
-  DeltaStats& operator=(const DeltaStats&) = delete;
-
-  void RecordBatch(size_t applied, size_t noop) {
-    batches_->Increment();
-    ops_applied_->Increment(static_cast<uint64_t>(applied));
-    ops_noop_->Increment(static_cast<uint64_t>(noop));
-  }
-  void RecordComponents(size_t rebuilt, size_t reused, size_t sets_rebuilt) {
-    components_rebuilt_->Increment(static_cast<uint64_t>(rebuilt));
-    components_reused_->Increment(static_cast<uint64_t>(reused));
-    sets_rebuilt_->Increment(static_cast<uint64_t>(sets_rebuilt));
-    last_dirty_components_->Set(static_cast<int64_t>(rebuilt));
-  }
-  void RecordFallbackFull() { fallbacks_full_->Increment(); }
-  void RecordSplice() { splices_->Increment(); }
-  void RecordEquivalenceCheck(bool ok) {
-    equivalence_checks_->Increment();
-    if (!ok) equivalence_failures_->Increment();
-  }
-  void SetShape(size_t working_sets, size_t components) {
-    working_sets_->Set(static_cast<int64_t>(working_sets));
-    components_total_->Set(static_cast<int64_t>(components));
-  }
-  void RecordImpact(double seconds) { impact_us_->Record(seconds * 1e6); }
-  void RecordComponentBuild(double seconds) {
-    component_build_us_->Record(seconds * 1e6);
-  }
-  void RecordSplice(double seconds) { splice_us_->Record(seconds * 1e6); }
-  void RecordApply(double seconds) { apply_us_->Record(seconds * 1e6); }
-
-  DeltaStatsSnapshot Snapshot() const;
-
-  /// The registry backing these stats; usable with obs::MetricsToJson and
-  /// the Prometheus exposition merge.
   const obs::MetricsRegistry& registry() const { return registry_; }
 
- private:
-  obs::MetricsRegistry registry_;
-  obs::Counter* batches_;
-  obs::Counter* ops_applied_;
-  obs::Counter* ops_noop_;
-  obs::Counter* components_rebuilt_;
-  obs::Counter* components_reused_;
-  obs::Counter* sets_rebuilt_;
-  obs::Counter* fallbacks_full_;
-  obs::Counter* splices_;
-  obs::Counter* equivalence_checks_;
-  obs::Counter* equivalence_failures_;
-  obs::Gauge* working_sets_;
-  obs::Gauge* components_total_;
-  obs::Gauge* last_dirty_components_;
-  obs::Histogram* impact_us_;
-  obs::Histogram* component_build_us_;
-  obs::Histogram* splice_us_;
-  obs::Histogram* apply_us_;
+  obs::Counter& batches = *registry_.GetCounter(
+      "delta.batches", "Delta batches applied to the working set");
+  obs::Counter& ops_applied = *registry_.GetCounter(
+      "delta.ops_applied", "Ops that changed the working set");
+  obs::Counter& ops_noop = *registry_.GetCounter(
+      "delta.ops_noop",
+      "Ops with no effect (identical upsert, unknown remove)");
+  obs::Counter& components_rebuilt = *registry_.GetCounter(
+      "delta.components_rebuilt",
+      "Intersection-graph components re-resolved because a batch touched "
+      "them");
+  obs::Counter& components_reused = *registry_.GetCounter(
+      "delta.components_reused",
+      "Clean components spliced from the component cache");
+  obs::Counter& sets_rebuilt = *registry_.GetCounter(
+      "delta.sets_rebuilt", "Candidate sets inside rebuilt components");
+  obs::Counter& fallbacks_full = *registry_.GetCounter(
+      "delta.fallbacks_full",
+      "Batches past the drift bound that fell back to a full rebuild");
+  /// Counted whether or not the caller published the tree.
+  obs::Counter& splices = *registry_.GetCounter(
+      "delta.splices", "Spliced cumulative trees produced");
+  obs::Counter& equivalence_checks = *registry_.GetCounter(
+      "delta.equivalence_checks", "Equivalence-harness runs");
+  obs::Counter& equivalence_failures = *registry_.GetCounter(
+      "delta.equivalence_failures",
+      "Equivalence-harness divergences beyond epsilon");
+  obs::Gauge& working_sets = *registry_.GetGauge(
+      "delta.working_sets", "Alive candidate sets in the working set");
+  obs::Gauge& components_total = *registry_.GetGauge(
+      "delta.components_total",
+      "Intersection-graph components over the working set");
+  obs::Gauge& last_dirty_components = *registry_.GetGauge(
+      "delta.last_dirty_components",
+      "Dirty components in the most recent batch");
+  obs::Histogram& impact_us = *registry_.GetHistogram(
+      "delta.impact_us", "Impact analysis (components + dirty frontier)",
+      "us");
+  obs::Histogram& component_build_us = *registry_.GetHistogram(
+      "delta.component_build_us",
+      "Per-component local re-resolution (conflicts + MIS + build)", "us");
+  obs::Histogram& splice_us = *registry_.GetHistogram(
+      "delta.splice_us",
+      "Splice: graft components + universe-wide misc category", "us");
+  obs::Histogram& apply_us = *registry_.GetHistogram(
+      "delta.apply_us", "End-to-end ApplyBatch latency", "us");
 };
 
 }  // namespace delta

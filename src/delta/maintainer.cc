@@ -15,7 +15,7 @@ DeltaMaintainer::DeltaMaintainer(serve::TreeStore* store,
     : store_(store),
       serve_stats_(serve_stats),
       options_(std::move(options)),
-      builder_(std::move(sim), options_.builder, &stats_) {}
+      builder_(std::move(sim), options_.builder) {}
 
 std::string DeltaMaintainer::NoteFor(const DeltaApplyOutcome& outcome) {
   if (outcome.fallback_full) {
@@ -34,7 +34,9 @@ Result<serve::TreeVersion> DeltaMaintainer::PublishOutcomeLocked(
   const std::string note = NoteFor(outcome);
   const auto published = store_->Publish(std::move(outcome.tree), note);
   if (serve_stats_ != nullptr) {
-    serve_stats_->RecordPublish(published->version());
+    serve_stats_->publishes.Increment();
+    serve_stats_->current_version.Set(
+        static_cast<int64_t>(published->version()));
   }
   last_outcome_ = std::move(outcome);  // tree already moved out above.
   return published->version();

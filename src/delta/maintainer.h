@@ -36,7 +36,6 @@
 #include "core/similarity.h"
 #include "delta/delta_builder.h"
 #include "delta/delta_log.h"
-#include "delta/delta_stats.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
 #include "serve/tree_store.h"
@@ -99,7 +98,7 @@ class DeltaMaintainer : public serve::CandidateBuilder {
   Result<Candidate> BuildCandidate(const OctInput& batch,
                                    const fault::CancelToken* cancel) override;
 
-  const DeltaStats& stats() const { return stats_; }
+  const DeltaStats& stats() const { return builder_.stats(); }
   const DeltaBuilder& builder() const { return builder_; }
 
   /// Outcome of the last successful apply (its `tree` is empty — it was
@@ -115,7 +114,6 @@ class DeltaMaintainer : public serve::CandidateBuilder {
   serve::TreeStore* const store_;
   serve::ServeStats* const serve_stats_;
   const DeltaMaintainerOptions options_;
-  DeltaStats stats_;
   DeltaLog log_;
   mutable std::mutex mu_;  // Serializes apply/publish; guards the below.
   DeltaBuilder builder_;

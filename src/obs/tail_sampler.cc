@@ -47,23 +47,22 @@ void TailSampler::StartTrace(uint64_t trace_id) {
   started_.fetch_add(1, std::memory_order_relaxed);
   StartedCounter()->Increment();
   Shard& shard = ShardFor(trace_id);
-  uint64_t evicted_now = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto [it, inserted] = shard.pending.try_emplace(trace_id);
     if (!inserted) return;  // Already open (double-start); keep existing.
-    shard.fifo.push_back(trace_id);
-    while (shard.pending.size() > options_.max_pending_per_shard &&
-           !shard.fifo.empty()) {
-      const uint64_t oldest = shard.fifo.front();
-      shard.fifo.pop_front();
-      if (shard.pending.erase(oldest) != 0) ++evicted_now;
-    }
+    it->second.opened = shard.opened++;
+    if (shard.pending.size() <= options_.max_pending_per_shard) return;
+    // Past the bound only when traces were never finished: the scan is
+    // over at most bound + 1 entries, and it evicts the one opened first.
+    shard.pending.erase(std::min_element(
+        shard.pending.begin(), shard.pending.end(),
+        [](const auto& a, const auto& b) {
+          return a.second.opened < b.second.opened;
+        }));
   }
-  if (evicted_now != 0) {
-    evicted_.fetch_add(evicted_now, std::memory_order_relaxed);
-    EvictedCounter()->Increment(evicted_now);
-  }
+  evicted_.fetch_add(1, std::memory_order_relaxed);
+  EvictedCounter()->Increment();
 }
 
 void TailSampler::Record(const SpanEvent& event) {
@@ -91,7 +90,6 @@ bool TailSampler::FinishTrace(uint64_t trace_id, const TraceFinish& fin) {
       trace = std::move(it->second);
       shard.pending.erase(it);
       found = true;
-      // The fifo entry goes stale; eviction skips ids already erased.
     }
   }
   if (!WouldPromote(fin)) {

@@ -17,16 +17,16 @@
 //
 // Sharding: pending traces hash by trace id over kShards cacheline-aligned
 // shards, so concurrent workers finishing different requests almost never
-// contend. Each shard bounds its pending count (FIFO eviction, counted in
-// obs.tail.traces_evicted) so a caller that forgets FinishRequestTrace
-// cannot leak unbounded memory.
+// contend. Each shard bounds its pending count (the trace opened first is
+// evicted, counted in obs.tail.traces_evicted) so a caller that forgets
+// FinishRequestTrace cannot leak unbounded memory. A finished trace leaves
+// nothing behind in its shard.
 
 #ifndef OCT_OBS_TAIL_SAMPLER_H_
 #define OCT_OBS_TAIL_SAMPLER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -42,7 +42,7 @@ namespace obs {
 struct TailSamplerOptions {
   /// Traces slower than this promote even when nothing else went wrong.
   double slow_threshold_us = 5000.0;
-  /// Pending traces per shard before FIFO eviction (total bound =
+  /// Pending traces per shard before the oldest is evicted (total bound =
   /// kShards * this).
   size_t max_pending_per_shard = 128;
   /// Spans retained per pending trace; later spans are dropped and counted.
@@ -119,11 +119,13 @@ class TailSampler {
   struct PendingTrace {
     std::vector<SpanEvent> spans;
     uint64_t dropped_spans = 0;
+    /// Its shard's `opened` count when it started: the smallest is evicted.
+    uint64_t opened = 0;
   };
   struct alignas(64) Shard {
     std::mutex mu;
     std::unordered_map<uint64_t, PendingTrace> pending;
-    std::deque<uint64_t> fifo;  // Insertion order, for bounded eviction.
+    uint64_t opened = 0;  // Traces ever opened in this shard.
   };
 
   static constexpr size_t kShards = 8;

@@ -94,12 +94,13 @@ RouteResult Router::Route(const RouteRequest& request) {
   } else {
     {
       obs::TraceContextScope scope(trace);
-      stats_.RecordAdmitted();
+      stats_.requests.Increment();
       result = Answer(request, BudgetToken(budget));
     }
     result.total_seconds = timer.ElapsedSeconds();
     FinishResult(result);
-    stats_.RecordRoute(result.total_seconds, result.trace_id);
+    stats_.route_us.RecordWithExemplar(result.total_seconds * 1e6,
+                                       result.trace_id);
     RecordSlo(result);
   }
   if (own_trace) {
@@ -124,7 +125,8 @@ RouteResult Router::RouteSerial(const RouteRequest& request) const {
   // The serial oracle stays out of the outcome counters and the SLO ledger
   // (it is a correctness probe, not traffic), but its stage latencies are
   // recorded and it still exemplar-links when a context is live.
-  stats_.RecordRoute(result.total_seconds, result.trace_id);
+  stats_.route_us.RecordWithExemplar(result.total_seconds * 1e6,
+                                     result.trace_id);
   return result;
 }
 
@@ -153,7 +155,7 @@ RouteResult Router::Answer(const RouteRequest& request,
     return engine_->TryResultSet(request.query, options_.relevance_threshold);
   }();
   result.resolve_seconds = resolve_timer.ElapsedSeconds();
-  stats_.RecordResolve(result.resolve_seconds);
+  stats_.resolve_us.Record(result.resolve_seconds * 1e6);
   if (!resolved.ok()) {
     result.status = resolved.status();
     return result;
@@ -203,21 +205,23 @@ RouteResult Router::Answer(const RouteRequest& request,
     }
   }
   result.score_seconds = score_timer.ElapsedSeconds();
-  stats_.RecordScore(result.score_seconds);
+  stats_.score_us.Record(result.score_seconds * 1e6);
   return result;
 }
 
 void Router::FinishResult(const RouteResult& result) const {
   if (result.shed) {
-    stats_.RecordShedDeadline();
+    stats_.shed_deadline.Increment();
   } else if (result.degraded) {
-    stats_.RecordDegraded();
+    stats_.degraded.Increment();
   } else if (!result.status.ok()) {
-    stats_.RecordError();
+    stats_.errors.Increment();
   } else if (!result.ranked.empty()) {
-    stats_.RecordRouted();
+    stats_.routed.Increment();
   } else {
-    stats_.RecordUnrouted(WhyUnrouted(result));
+    stats_.unrouted.Increment();
+    stats_.unrouted_by_reason[static_cast<size_t>(WhyUnrouted(result))]
+        ->Increment();
   }
 }
 

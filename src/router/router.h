@@ -158,7 +158,7 @@ class Router {
   const serve::TreeStore* store_;
   const data::SearchEngine* engine_;
   const RouterOptions options_;
-  mutable RouterStats stats_;
+  RouterStats stats_;
   std::atomic<bool> running_{false};
 };
 

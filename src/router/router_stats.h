@@ -1,14 +1,16 @@
-// RouterStats: counters and latency histograms of the query
-// router, backed by a per-instance obs::MetricsRegistry (the ServeStats
-// pattern) so tests and multi-router processes get independent numbers
-// while the standard JSON/Prometheus exporters keep working. Recording
-// from many caller threads never synchronizes (sharded relaxed counters).
+// RouterStats: the query router's counters and stage-latency histograms,
+// one member per metric, declared once with its series name and help (the
+// ServeStats pattern). The router increments them; /statusz, tests and
+// benches read them in place. A per-instance obs::MetricsRegistry keeps
+// multi-router processes' numbers independent while registry() joins the
+// /metrics and /varz merge. Increments from many caller threads never
+// synchronize (sharded relaxed counters).
 
 #ifndef OCT_ROUTER_ROUTER_STATS_H_
 #define OCT_ROUTER_ROUTER_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
 
@@ -25,77 +27,57 @@ enum class UnroutedReason {
 };
 inline constexpr size_t kNumUnroutedReasons = 4;
 
-/// Plain-value copy of every router metric, safe to pass around.
+/// What the repository benchmark (perfbench/) reads through Snapshot().
 struct RouterStatsSnapshot {
-  /// Requests admitted by a running router.
-  uint64_t requests = 0;
-  /// Requests answered with at least one ranked category.
-  uint64_t routed = 0;
-  /// Requests answered OK but with an empty ranking (see UnroutedReason).
-  uint64_t unrouted = 0;
-  /// Requests dropped because their deadline expired before scoring began.
-  uint64_t shed_deadline = 0;
-  /// Requests whose deadline expired while they were scored, answered
-  /// with an empty ranking. Each admitted request is counted once, as
-  /// routed, unrouted, shed, degraded or an error.
-  uint64_t degraded = 0;
-  /// Requests failed by injected or real errors (resolve/score paths).
-  uint64_t errors = 0;
-  /// Always 0: the router no longer deduplicates requests. Kept because the
-  /// repository benchmark (perfbench/) reads it.
+  /// Always 0: the router no longer deduplicates requests.
   uint64_t deduped = 0;
-
-  double ShedRate() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(shed_deadline) /
-                               static_cast<double>(requests);
-  }
-
-  /// One-line "k=v k=v ..." rendering for logs.
-  std::string ToString() const;
 };
 
 class RouterStats {
- public:
-  RouterStats();
-  RouterStats(const RouterStats&) = delete;
-  RouterStats& operator=(const RouterStats&) = delete;
-
-  void RecordAdmitted() { requests_->Increment(); }
-  void RecordRouted() { routed_->Increment(); }
-  void RecordUnrouted(UnroutedReason reason) {
-    unrouted_->Increment();
-    unrouted_by_reason_[static_cast<size_t>(reason)]->Increment();
-  }
-  void RecordShedDeadline() { shed_deadline_->Increment(); }
-  void RecordDegraded() { degraded_->Increment(); }
-  void RecordError() { errors_->Increment(); }
-  /// Stage latencies of one answer that reached the stage.
-  void RecordResolve(double seconds) { resolve_us_->Record(seconds * 1e6); }
-  void RecordScore(double seconds) { score_us_->Record(seconds * 1e6); }
-  /// `trace_id` (0 = none) exemplar-links the latency bucket this request
-  /// lands in to its trace on /tracez.
-  void RecordRoute(double seconds, uint64_t trace_id = 0) {
-    route_us_->RecordWithExemplar(seconds * 1e6, trace_id);
-  }
-
-  RouterStatsSnapshot Snapshot() const;
-
-  /// The registry backing these stats; usable with obs::MetricsToJson.
-  const obs::MetricsRegistry& registry() const { return registry_; }
-
- private:
+  // Declared first: every member below registers into it.
   obs::MetricsRegistry registry_;
-  obs::Counter* requests_;
-  obs::Counter* routed_;
-  obs::Counter* unrouted_;
-  obs::Counter* unrouted_by_reason_[kNumUnroutedReasons];
-  obs::Counter* shed_deadline_;
-  obs::Counter* degraded_;
-  obs::Counter* errors_;
-  obs::Histogram* route_us_;
-  obs::Histogram* resolve_us_;
-  obs::Histogram* score_us_;
+
+ public:
+  const obs::MetricsRegistry& registry() const { return registry_; }
+  RouterStatsSnapshot Snapshot() const { return {}; }
+
+  /// Each admitted request is counted once more, as routed, unrouted, shed,
+  /// degraded or an error.
+  obs::Counter& requests = *registry_.GetCounter(
+      "router.requests", "Requests admitted by a running router");
+  obs::Counter& routed = *registry_.GetCounter(
+      "router.routed", "Requests answered with a non-empty ranking");
+  obs::Counter& unrouted = *registry_.GetCounter(
+      "router.unrouted", "Requests answered OK with an empty ranking");
+  /// Indexed by UnroutedReason.
+  obs::Counter* const unrouted_by_reason[kNumUnroutedReasons] = {
+      registry_.GetCounter("router.unrouted_empty_result_set",
+                           "Unrouted: the result set was empty"),
+      registry_.GetCounter("router.unrouted_unplaced",
+                           "Unrouted: no item of the result set is placed "
+                           "in the tree"),
+      registry_.GetCounter("router.unrouted_misc_dominated",
+                           "Unrouted: more than half of the result set lies "
+                           "under the root's misc category"),
+      registry_.GetCounter("router.unrouted_below_floor",
+                           "Unrouted: no category reached the Jaccard floor "
+                           "(the rest)")};
+  obs::Counter& shed_deadline = *registry_.GetCounter(
+      "router.shed_deadline",
+      "Requests dropped: deadline expired before scoring began");
+  obs::Counter& degraded = *registry_.GetCounter(
+      "router.degraded",
+      "Requests whose deadline expired while scoring, answered unranked");
+  obs::Counter& errors = *registry_.GetCounter(
+      "router.errors", "Requests failed by resolve/score errors");
+  /// Stage latencies of each answer that reached the stage; route_us
+  /// exemplar-links its bucket to the request's trace on /tracez.
+  obs::Histogram& route_us = *registry_.GetHistogram(
+      "router.route_us", "End-to-end route latency (arrival to answer)", "us");
+  obs::Histogram& resolve_us = *registry_.GetHistogram(
+      "router.resolve_us", "Result-set resolution per answer", "us");
+  obs::Histogram& score_us = *registry_.GetHistogram(
+      "router.score_us", "Scoring and ranking per answer", "us");
 };
 
 }  // namespace router

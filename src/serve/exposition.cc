@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <system_error>
 #include <utility>
 
@@ -34,6 +33,16 @@ bool ParseWhole(const std::string& text, T* out) {
   const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
   return ec == std::errc() && ptr == end;
 }
+
+/// The owned observability stack's fixed settings: bad requests retained
+/// for /slowz; the fractions of routes that must finish within
+/// slow_threshold_us (router.latency) and that must be neither shed nor
+/// errored (router.availability); and the burn rate both SLO windows must
+/// exceed to alert.
+constexpr size_t kSlowLogCapacity = 256;
+constexpr double kLatencySloTarget = 0.99;
+constexpr double kAvailabilitySloTarget = 0.999;
+constexpr double kSloBurnAlertThreshold = 2.0;
 
 }  // namespace
 
@@ -82,8 +91,7 @@ ServingExposition::~ServingExposition() {
 }
 
 void ServingExposition::InstallObservability() {
-  if (!options_.observability) return;
-  slow_log_ = std::make_unique<obs::SlowLog>(options_.slow_log_capacity);
+  slow_log_ = std::make_unique<obs::SlowLog>(kSlowLogCapacity);
   obs::TailSamplerOptions tail_options;
   tail_options.slow_threshold_us = options_.slow_threshold_us;
   tail_sampler_ = std::make_unique<obs::TailSampler>(tail_options);
@@ -95,15 +103,15 @@ void ServingExposition::InstallObservability() {
       "Routes finishing within " +
       std::to_string(static_cast<long long>(options_.slow_threshold_us)) +
       "us";
-  latency.target = options_.latency_slo_target;
+  latency.target = kLatencySloTarget;
   latency.latency_threshold_us = options_.slow_threshold_us;
-  latency.burn_alert_threshold = options_.slo_burn_alert_threshold;
+  latency.burn_alert_threshold = kSloBurnAlertThreshold;
   slo_->AddObjective(latency);
   obs::SloObjectiveSpec availability;
   availability.name = "router.availability";
   availability.description = "Requests neither shed nor errored";
-  availability.target = options_.availability_slo_target;
-  availability.burn_alert_threshold = options_.slo_burn_alert_threshold;
+  availability.target = kAvailabilitySloTarget;
+  availability.burn_alert_threshold = kSloBurnAlertThreshold;
   slo_->AddObjective(availability);
 
   watchdog_ = std::make_unique<obs::Watchdog>();
@@ -340,10 +348,13 @@ std::string ServingExposition::HandleStoreRecord(
   }
   const std::string version_param =
       obs::HttpQueryParam(request.query, "version");
-  const store::TreeVersion version =
-      version_param.empty()
-          ? version_log_->LatestVersion()
-          : static_cast<store::TreeVersion>(std::atoll(version_param.c_str()));
+  store::TreeVersion version = version_log_->LatestVersion();
+  if (!version_param.empty() && !ParseWhole(version_param, &version)) {
+    return obs::MakeHttpResponse(
+        400, "text/plain; charset=utf-8",
+        "version must be a non-negative integer, got '" + version_param +
+            "'\n");
+  }
   Result<std::string> record = version_log_->RecordBytes(version);
   if (!record.ok()) {
     const int status =
@@ -391,20 +402,26 @@ std::string ServingExposition::StatusJson() const {
     w.EndObject();
   }
   if (maintainer_ != nullptr) {
-    const delta::DeltaStatsSnapshot ds = maintainer_->stats().Snapshot();
+    const delta::DeltaStats& ds = maintainer_->stats();
+    const uint64_t rebuilt = ds.components_rebuilt.Value();
+    const uint64_t reused = ds.components_reused.Value();
     w.Key("delta").BeginObject();
-    w.Key("working_sets").Int(ds.working_sets);
-    w.Key("components").Int(ds.components_total);
-    w.Key("batches").Uint(ds.batches);
-    w.Key("ops_applied").Uint(ds.ops_applied);
-    w.Key("components_rebuilt").Uint(ds.components_rebuilt);
-    w.Key("components_reused").Uint(ds.components_reused);
-    w.Key("reuse_rate").Double(ds.ReuseRate());
-    w.Key("last_dirty_components").Int(ds.last_dirty_components);
-    w.Key("fallbacks_full").Uint(ds.fallbacks_full);
-    w.Key("splices").Uint(ds.splices);
-    w.Key("equivalence_checks").Uint(ds.equivalence_checks);
-    w.Key("equivalence_failures").Uint(ds.equivalence_failures);
+    w.Key("working_sets").Int(ds.working_sets.Value());
+    w.Key("components").Int(ds.components_total.Value());
+    w.Key("batches").Uint(ds.batches.Value());
+    w.Key("ops_applied").Uint(ds.ops_applied.Value());
+    w.Key("components_rebuilt").Uint(rebuilt);
+    w.Key("components_reused").Uint(reused);
+    w.Key("reuse_rate")
+        .Double(rebuilt + reused == 0
+                    ? 0.0
+                    : static_cast<double>(reused) /
+                          static_cast<double>(rebuilt + reused));
+    w.Key("last_dirty_components").Int(ds.last_dirty_components.Value());
+    w.Key("fallbacks_full").Uint(ds.fallbacks_full.Value());
+    w.Key("splices").Uint(ds.splices.Value());
+    w.Key("equivalence_checks").Uint(ds.equivalence_checks.Value());
+    w.Key("equivalence_failures").Uint(ds.equivalence_failures.Value());
     w.EndObject();
   }
   if (version_log_ != nullptr || replica_set_ != nullptr) {
@@ -433,16 +450,21 @@ std::string ServingExposition::StatusJson() const {
     w.EndObject();
   }
   if (router_ != nullptr) {
-    const router::RouterStatsSnapshot rs = router_->stats().Snapshot();
+    const router::RouterStats& rs = router_->stats();
+    const uint64_t requests = rs.requests.Value();
+    const uint64_t shed = rs.shed_deadline.Value();
     w.Key("router").BeginObject();
     w.Key("running").Bool(router_->running());
-    w.Key("requests").Uint(rs.requests);
-    w.Key("routed").Uint(rs.routed);
-    w.Key("unrouted").Uint(rs.unrouted);
-    w.Key("shed_deadline").Uint(rs.shed_deadline);
-    w.Key("degraded").Uint(rs.degraded);
-    w.Key("errors").Uint(rs.errors);
-    w.Key("shed_rate").Double(rs.ShedRate());
+    w.Key("requests").Uint(requests);
+    w.Key("routed").Uint(rs.routed.Value());
+    w.Key("unrouted").Uint(rs.unrouted.Value());
+    w.Key("shed_deadline").Uint(shed);
+    w.Key("degraded").Uint(rs.degraded.Value());
+    w.Key("errors").Uint(rs.errors.Value());
+    w.Key("shed_rate")
+        .Double(requests == 0 ? 0.0
+                              : static_cast<double>(shed) /
+                                    static_cast<double>(requests));
     w.EndObject();
   }
   if (const obs::TailSampler* sampler = obs::TailSampler::Global()) {

@@ -9,17 +9,23 @@
 //              healthy for readers). 503 while nothing has ever published
 //              or while the breaker is open.
 //   /metrics,  render the process-wide default registry (ctcr.*, kernel.*,
-//   /varz      cct.*, fault.*, obs.*) plus the ServeStats per-instance
-//              registry (serve.*) as one merged view.
+//   /varz      cct.*, fault.*, obs.*) plus the per-instance ServeStats,
+//              DeltaStats and RouterStats registries (serve.*, delta.*,
+//              router.*) as one merged view.
 //   /statusz   adds an "app" object: dataset scale, active snapshot
 //              version, the retain-K version history, breaker state, and
 //              the last rebuild outcome.
 //   /slowz,    the tail-sampled bad-request log, SLO burn rates + pump
 //   /sloz,     heartbeats, and per-trace span trees — fed by the
-//   /tracez    observability stack this class owns and installs as the
-//              process globals (see ExpositionOptions::observability).
-//              /route requests start a trace at ingress; slow, shed,
-//              degraded, or errored ones are promoted at completion.
+//   /tracez    observability stack this class owns: a TailSampler, a
+//              256-entry SlowLog, an SloEngine with the router.latency
+//              (99%) and router.availability (99.9%) objectives, and a
+//              Watchdog. Each is installed as the process global at
+//              construction *only when that slot is still empty* (an
+//              operator-installed instance always wins) and uninstalled at
+//              destruction. /route requests start a trace at ingress;
+//              slow, shed, degraded, or errored ones are promoted at
+//              completion.
 //
 //   serve::ExpositionOptions opts;
 //   opts.enabled = true;                       // default off: opt-in port
@@ -64,26 +70,9 @@ struct ExpositionOptions {
   /// 0 picks any free port (read back via ServingExposition::port()).
   int port = 0;
   std::string bind_address = "127.0.0.1";
-  /// When true (default) the exposition owns the request-observability
-  /// stack — TailSampler, SlowLog, SloEngine, Watchdog — installing each
-  /// as the process global at construction *only when that slot is still
-  /// empty* (an operator-installed instance always wins) and uninstalling
-  /// its own at destruction. /route requests then get tail-sampled traces,
-  /// /slowz entries, and SLO accounting with no further wiring.
-  bool observability = true;
   /// Tail-sampling promotion threshold: requests slower than this land in
-  /// /slowz (+ /tracez), and the latency SLO counts them bad.
+  /// /slowz (+ /tracez), and the router.latency SLO counts them bad.
   double slow_threshold_us = 5000.0;
-  /// Bad requests retained for /slowz.
-  size_t slow_log_capacity = 256;
-  /// "router.latency": this fraction of routes must finish within
-  /// slow_threshold_us.
-  double latency_slo_target = 0.99;
-  /// "router.availability": this fraction of requests must be neither shed
-  /// nor errored.
-  double availability_slo_target = 0.999;
-  /// Burn rate that must be exceeded in BOTH SLO windows to alert.
-  double slo_burn_alert_threshold = 2.0;
   /// A registered pump (delta maintainer, replica shipper, rebuild
   /// scheduler) that has beaten at least once and then gone quiet this
   /// long is reported stalled on /sloz and degrades /healthz.
@@ -156,9 +145,8 @@ class ServingExposition {
   const store::ReplicaSet* replica_set_ = nullptr;
   ExpositionOptions options_;
 
-  // Owned observability stack (null when options_.observability is false).
-  // Globals installed by this instance are tracked so destruction never
-  // clears a slot someone else filled.
+  // Owned observability stack. Globals installed by this instance are
+  // tracked so destruction never clears a slot someone else filled.
   std::unique_ptr<obs::SlowLog> slow_log_;
   std::unique_ptr<obs::TailSampler> tail_sampler_;
   std::unique_ptr<obs::SloEngine> slo_;

@@ -101,7 +101,7 @@ BatchDecision RebuildScheduler::OfferBatch(OctInput batch) {
     // a batch can never strand in the pending slot with the slot free.
     std::lock_guard<std::mutex> lock(mu_);
     if (!BreakerAdmitsLocked()) {
-      stats_->RecordBatchRejected();
+      stats_->batches_rejected.Increment();
       return BatchDecision::kCircuitOpen;
     }
     bool expected = false;
@@ -109,11 +109,11 @@ BatchDecision RebuildScheduler::OfferBatch(OctInput batch) {
       // A rebuild is running: fold this batch into the pending-latest slot
       // (latest wins) instead of dropping it. FinishRebuild re-offers it.
       pending_batch_ = std::make_shared<OctInput>(std::move(batch));
-      stats_->RecordBatchCoalesced();
+      stats_->batches_coalesced.Increment();
       return BatchDecision::kCoalesced;
     }
   }
-  stats_->RecordRebuildTriggered();
+  stats_->rebuilds_triggered.Increment();
   auto shared_batch = std::make_shared<OctInput>(std::move(batch));
   pool_->Submit([this, shared_batch, current_score] {
     FinishRebuild(RunRebuild(*shared_batch, current_score));
@@ -130,7 +130,7 @@ RebuildOutcome RebuildScheduler::RebuildNow(const OctInput& batch) {
     bool expected = false;
     if (in_flight_.compare_exchange_strong(expected, true)) break;
   }
-  stats_->RecordRebuildTriggered();
+  stats_->rebuilds_triggered.Increment();
   const auto snap = store_->Current();
   const double current_score =
       snap == nullptr
@@ -154,7 +154,7 @@ RebuildOutcome RebuildScheduler::RunRebuild(const OctInput& batch,
     outcome.status = AttemptRebuild(batch, current_score, &outcome);
     if (!IsFailure(outcome.status)) break;
     if (attempt == max_attempts) break;
-    stats_->RecordRebuildRetried();
+    stats_->rebuild_retries.Increment();
     double jitter = 1.0;
     if (policy_.backoff_jitter > 0.0) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -166,7 +166,9 @@ RebuildOutcome RebuildScheduler::RunRebuild(const OctInput& batch,
     backoff = std::min(backoff * 2.0, policy_.backoff_max_seconds);
   }
   outcome.seconds = timer.ElapsedSeconds();
-  stats_->RecordRebuildFinished(outcome.published, outcome.seconds);
+  (outcome.published ? stats_->rebuilds_published : stats_->rebuilds_discarded)
+      .Increment();
+  stats_->rebuild_us.Record(outcome.seconds * 1e6);
   return outcome;
 }
 
@@ -230,7 +232,8 @@ Status RebuildScheduler::AttemptRebuild(const OctInput& batch,
       outcome->published = true;
       outcome->published_version = published->version();
       outcome->reason = "published";
-      stats_->RecordPublish(published->version());
+      stats_->publishes.Increment();
+      stats_->current_version.Set(static_cast<int64_t>(published->version()));
     }
   }
   return build_status;
@@ -283,7 +286,7 @@ void RebuildScheduler::RunPendingBatch(std::shared_ptr<OctInput> batch) {
       return;
     }
   }
-  stats_->RecordRebuildTriggered();
+  stats_->rebuilds_triggered.Increment();
   FinishRebuild(RunRebuild(*batch, current_score));
 }
 
@@ -313,7 +316,8 @@ void RebuildScheduler::UpdateBreakerLocked(const RebuildOutcome& outcome) {
     if (trip) {
       breaker_ = CircuitState::kOpen;
       breaker_opened_at_ = std::chrono::steady_clock::now();
-      stats_->RecordBreakerOpened();
+      stats_->breaker_opened.Increment();
+      stats_->breaker_state.Set(static_cast<int64_t>(breaker_));
       OCT_LOG_WARNING << "rebuild circuit breaker opened after "
                       << consecutive_failures_ << " consecutive failures: "
                       << outcome.status.ToString();
@@ -323,7 +327,8 @@ void RebuildScheduler::UpdateBreakerLocked(const RebuildOutcome& outcome) {
   consecutive_failures_ = 0;
   if (breaker_ != CircuitState::kClosed) {
     breaker_ = CircuitState::kClosed;
-    stats_->RecordBreakerClosed();
+    stats_->breaker_closed.Increment();
+    stats_->breaker_state.Set(static_cast<int64_t>(breaker_));
     OCT_LOG_INFO << "rebuild circuit breaker closed";
   }
 }
@@ -336,7 +341,7 @@ bool RebuildScheduler::BreakerAdmitsLocked() {
     return false;
   }
   breaker_ = CircuitState::kHalfOpen;
-  stats_->RecordBreakerHalfOpen();
+  stats_->breaker_state.Set(static_cast<int64_t>(breaker_));
   return true;
 }
 

@@ -312,10 +312,9 @@ TEST(DeltaBuilder, LocalCondenseKeepsComponentTopCategories) {
 
 TEST(DeltaBuilder, SmallDeltaRebuildsOnlyTouchedComponent) {
   const Similarity sim(Variant::kJaccardThreshold, 0.7);
-  DeltaStats stats;
   DeltaBuilderOptions options;
   options.max_dirty_fraction = 0.9;
-  DeltaBuilder builder(sim, options, &stats);
+  DeltaBuilder builder(sim, options);
 
   // Three item-disjoint clusters of two overlapping sets each.
   OctInput input(30);
@@ -342,21 +341,20 @@ TEST(DeltaBuilder, SmallDeltaRebuildsOnlyTouchedComponent) {
   EXPECT_EQ(outcome.value().sets_rebuilt, 2u);
   EXPECT_TRUE(builder.VerifyEquivalence(outcome.value().tree, 0.05).ok());
 
-  const DeltaStatsSnapshot snap = stats.Snapshot();
-  EXPECT_EQ(snap.components_reused, 2u);
-  EXPECT_EQ(snap.last_dirty_components, 1);
-  EXPECT_EQ(snap.components_total, 3);
+  const DeltaStats& stats = builder.stats();
+  EXPECT_EQ(stats.components_reused.Value(), 2u);
+  EXPECT_EQ(stats.last_dirty_components.Value(), 1);
+  EXPECT_EQ(stats.components_total.Value(), 3);
 }
 
 TEST(DeltaBuilder, DriftBoundFallsBackToFullRebuild) {
   const Similarity sim(Variant::kJaccardThreshold, 0.7);
-  DeltaStats stats;
   DeltaBuilderOptions options;
   options.max_dirty_fraction = 0.25;  // Touching 2 of 4 sets exceeds this.
-  DeltaBuilder builder(sim, options, &stats);
+  DeltaBuilder builder(sim, options);
   Seed(&builder, testing_inputs::Figure2Input());
   // The seed itself is 100% new, so it already fell back once.
-  const uint64_t fallbacks_before = stats.Snapshot().fallbacks_full;
+  const uint64_t fallbacks_before = builder.stats().fallbacks_full.Value();
 
   std::vector<DeltaOp> ops;
   DeltaOp op;
@@ -371,7 +369,7 @@ TEST(DeltaBuilder, DriftBoundFallsBackToFullRebuild) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome.value().fallback_full);
   EXPECT_EQ(outcome.value().sets_rebuilt, outcome.value().sets_total);
-  EXPECT_EQ(stats.Snapshot().fallbacks_full, fallbacks_before + 1);
+  EXPECT_EQ(builder.stats().fallbacks_full.Value(), fallbacks_before + 1);
   EXPECT_TRUE(builder.VerifyEquivalence(outcome.value().tree, 0.05).ok());
 }
 
@@ -733,14 +731,15 @@ TEST(DeltaMaintainer, PumpOncePublishesSplicedTreeWithDeltaNote) {
   EXPECT_EQ(version.value(), 1u);
   ASSERT_NE(store.Current(), nullptr);
   EXPECT_EQ(store.Current()->note().rfind("delta", 0), 0u);
-  EXPECT_EQ(stats.Snapshot().publishes, 1u);
+  EXPECT_EQ(stats.publishes.Value(), 1u);
+  EXPECT_EQ(stats.current_version.Value(), 1);
 
   // A small follow-up delta publishes a new version incrementally.
   maintainer.RemoveQuery("black adidas shirt");
   version = maintainer.PumpOnce();
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(version.value(), 2u);
-  EXPECT_EQ(maintainer.stats().Snapshot().batches, 2u);
+  EXPECT_EQ(maintainer.stats().batches.Value(), 2u);
   EXPECT_EQ(maintainer.last_outcome().touched_slots, 1u);
 }
 
@@ -755,8 +754,8 @@ TEST(DeltaMaintainer, VerifyEpsilonAuditsEveryPump) {
     maintainer.UpsertQuery(input.set(q).label, input.set(q));
   }
   ASSERT_TRUE(maintainer.PumpOnce().ok());
-  EXPECT_GE(maintainer.stats().Snapshot().equivalence_checks, 1u);
-  EXPECT_EQ(maintainer.stats().Snapshot().equivalence_failures, 0u);
+  EXPECT_GE(maintainer.stats().equivalence_checks.Value(), 1u);
+  EXPECT_EQ(maintainer.stats().equivalence_failures.Value(), 0u);
 }
 
 TEST(DeltaMaintainer, SchedulerRoutesRebuildsThroughDeltaPath) {
@@ -778,14 +777,14 @@ TEST(DeltaMaintainer, SchedulerRoutesRebuildsThroughDeltaPath) {
       scheduler.RebuildNow(testing_inputs::Figure2Input());
   ASSERT_TRUE(first.published) << first.reason;
   EXPECT_EQ(store.Current()->note().rfind("delta", 0), 0u);
-  EXPECT_EQ(maintainer.stats().Snapshot().batches, 1u);
+  EXPECT_EQ(maintainer.stats().batches.Value(), 1u);
 
   // Drifted truth: one query's result set changed, one query is new. The
   // maintainer diffs, so only the touched region re-resolves.
   OctInput drifted(testing_inputs::Figure2Input());
   drifted.Add(ItemSet({3, 4, 5}), 2.0, "summer shirt");
   const serve::RebuildOutcome second = scheduler.RebuildNow(drifted);
-  EXPECT_EQ(maintainer.stats().Snapshot().batches, 2u);
+  EXPECT_EQ(maintainer.stats().batches.Value(), 2u);
   if (second.published) {
     EXPECT_EQ(store.CurrentVersion(), 2u);
   }

@@ -4,9 +4,10 @@
 // output), /healthz flipping with the circuit breaker via failpoints,
 // malformed/oversized request rejection, 503 shedding when the connection
 // queue is full (the serving path's admission control: /route runs on these
-// handler threads), and clean Stop() with connections mid-request. The whole file runs under TSan in CI (tools/run_sanitizers.sh
-// runs the full ctest suite), which is the point: scrapes synchronize with
-// nothing on the record path.
+// handler threads), clean Stop() with connections mid-request, and the
+// pinned series of the serving registries. The whole file runs under TSan
+// in CI (tools/run_sanitizers.sh runs the full ctest suite), which is the
+// point: scrapes synchronize with nothing on the record path.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -33,7 +34,11 @@
 #include "obs/span_ring.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "data/catalog.h"
+#include "data/search_engine.h"
+#include "delta/maintainer.h"
 #include "paper_inputs.h"
+#include "router/router.h"
 #include "serve/exposition.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
@@ -746,6 +751,136 @@ TEST(ServingExposition, SloBurnAndPumpStallFlipHealthToDegraded) {
   EXPECT_NE(report.detail.find("pump delta.maintainer stalled"),
             std::string::npos)
       << report.detail;
+}
+
+/// The "# HELP" and "# TYPE" lines /metrics renders for `registry` alone.
+std::vector<std::string> HeaderLines(const obs::MetricsRegistry& registry) {
+  std::vector<std::string> lines;
+  const std::string text = obs::RenderPrometheus({&registry});
+  size_t start = 0;
+  while (start < text.size()) {
+    const size_t end = text.find('\n', start);
+    const std::string line = text.substr(start, end - start);
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      lines.push_back(line);
+    }
+    start = end == std::string::npos ? text.size() : end + 1;
+  }
+  return lines;
+}
+
+// Every series the serving stack's per-instance registries carry, with its
+// help, unit and type: /metrics, /varz and /statusz read these names, so a
+// change to any line here changes what scrapers and dashboards see.
+TEST(ServingRegistries, RenderPinnedSeries) {
+  ServeStats serve_stats;
+  const std::vector<std::string> serve_lines = {
+      "# TYPE serve_batches_coalesced counter",
+      "# TYPE serve_batches_rejected counter",
+      "# TYPE serve_breaker_closed counter",
+      "# TYPE serve_breaker_opened counter",
+      "# TYPE serve_publishes counter",
+      "# TYPE serve_rebuild_retries counter",
+      "# TYPE serve_rebuilds_discarded counter",
+      "# TYPE serve_rebuilds_published counter",
+      "# TYPE serve_rebuilds_triggered counter",
+      "# TYPE serve_breaker_state gauge",
+      "# TYPE serve_current_version gauge",
+      "# TYPE serve_rebuild_us histogram",
+  };
+  EXPECT_EQ(HeaderLines(serve_stats.registry()), serve_lines);
+
+  TreeStore store;
+  const data::Catalog catalog =
+      data::Catalog::Generate(data::FashionSchema(), 10, 1);
+  const data::SearchEngine engine(&catalog, {});
+  const router::Router router(&store, &engine);
+  const std::vector<std::string> router_lines = {
+      "# HELP router_degraded Requests whose deadline expired while scoring,"
+      " answered unranked",
+      "# TYPE router_degraded counter",
+      "# HELP router_errors Requests failed by resolve/score errors",
+      "# TYPE router_errors counter",
+      "# HELP router_requests Requests admitted by a running router",
+      "# TYPE router_requests counter",
+      "# HELP router_routed Requests answered with a non-empty ranking",
+      "# TYPE router_routed counter",
+      "# HELP router_shed_deadline Requests dropped: deadline expired before"
+      " scoring began",
+      "# TYPE router_shed_deadline counter",
+      "# HELP router_unrouted Requests answered OK with an empty ranking",
+      "# TYPE router_unrouted counter",
+      "# HELP router_unrouted_below_floor Unrouted: no category reached the"
+      " Jaccard floor (the rest)",
+      "# TYPE router_unrouted_below_floor counter",
+      "# HELP router_unrouted_empty_result_set Unrouted: the result set was"
+      " empty",
+      "# TYPE router_unrouted_empty_result_set counter",
+      "# HELP router_unrouted_misc_dominated Unrouted: more than half of the"
+      " result set lies under the root's misc category",
+      "# TYPE router_unrouted_misc_dominated counter",
+      "# HELP router_unrouted_unplaced Unrouted: no item of the result set is"
+      " placed in the tree",
+      "# TYPE router_unrouted_unplaced counter",
+      "# HELP router_resolve_us Result-set resolution per answer (unit: us)",
+      "# TYPE router_resolve_us histogram",
+      "# HELP router_route_us End-to-end route latency (arrival to answer)"
+      " (unit: us)",
+      "# TYPE router_route_us histogram",
+      "# HELP router_score_us Scoring and ranking per answer (unit: us)",
+      "# TYPE router_score_us histogram",
+  };
+  EXPECT_EQ(HeaderLines(router.stats().registry()), router_lines);
+
+  const delta::DeltaMaintainer maintainer(
+      &store, nullptr, Similarity(Variant::kJaccardThreshold, 0.8));
+  const std::vector<std::string> delta_lines = {
+      "# HELP delta_batches Delta batches applied to the working set",
+      "# TYPE delta_batches counter",
+      "# HELP delta_components_rebuilt Intersection-graph components"
+      " re-resolved because a batch touched them",
+      "# TYPE delta_components_rebuilt counter",
+      "# HELP delta_components_reused Clean components spliced from the"
+      " component cache",
+      "# TYPE delta_components_reused counter",
+      "# HELP delta_equivalence_checks Equivalence-harness runs",
+      "# TYPE delta_equivalence_checks counter",
+      "# HELP delta_equivalence_failures Equivalence-harness divergences"
+      " beyond epsilon",
+      "# TYPE delta_equivalence_failures counter",
+      "# HELP delta_fallbacks_full Batches past the drift bound that fell back"
+      " to a full rebuild",
+      "# TYPE delta_fallbacks_full counter",
+      "# HELP delta_ops_applied Ops that changed the working set",
+      "# TYPE delta_ops_applied counter",
+      "# HELP delta_ops_noop Ops with no effect (identical upsert, unknown"
+      " remove)",
+      "# TYPE delta_ops_noop counter",
+      "# HELP delta_sets_rebuilt Candidate sets inside rebuilt components",
+      "# TYPE delta_sets_rebuilt counter",
+      "# HELP delta_splices Spliced cumulative trees produced",
+      "# TYPE delta_splices counter",
+      "# HELP delta_components_total Intersection-graph components over the"
+      " working set",
+      "# TYPE delta_components_total gauge",
+      "# HELP delta_last_dirty_components Dirty components in the most recent"
+      " batch",
+      "# TYPE delta_last_dirty_components gauge",
+      "# HELP delta_working_sets Alive candidate sets in the working set",
+      "# TYPE delta_working_sets gauge",
+      "# HELP delta_apply_us End-to-end ApplyBatch latency (unit: us)",
+      "# TYPE delta_apply_us histogram",
+      "# HELP delta_component_build_us Per-component local re-resolution"
+      " (conflicts + MIS + build) (unit: us)",
+      "# TYPE delta_component_build_us histogram",
+      "# HELP delta_impact_us Impact analysis (components + dirty frontier)"
+      " (unit: us)",
+      "# TYPE delta_impact_us histogram",
+      "# HELP delta_splice_us Splice: graft components + universe-wide misc"
+      " category (unit: us)",
+      "# TYPE delta_splice_us histogram",
+  };
+  EXPECT_EQ(HeaderLines(maintainer.stats().registry()), delta_lines);
 }
 
 TEST(ServingExposition, HealthzFlipsWithCircuitBreaker) {

@@ -432,7 +432,7 @@ TEST_F(SchedulerFaultTest, TransientFailuresAreRetriedWithBackoff) {
   EXPECT_TRUE(outcome.status.ok());
   EXPECT_TRUE(outcome.published);
   EXPECT_EQ(outcome.attempts, 3);
-  EXPECT_EQ(stats_.Snapshot().rebuild_retries, 2u);
+  EXPECT_EQ(stats_.rebuild_retries.Value(), 2u);
   EXPECT_EQ(scheduler->circuit_state(), CircuitState::kClosed);
 }
 
@@ -455,10 +455,9 @@ TEST_F(SchedulerFaultTest, BreakerOpensAfterConsecutiveFailuresAndSheds) {
   // (here: nothing was ever published, and nothing is torn down trying).
   EXPECT_EQ(scheduler->OfferBatch(Figure2Input()),
             BatchDecision::kCircuitOpen);
-  const auto s = stats_.Snapshot();
-  EXPECT_EQ(s.breaker_opened, 1u);
-  EXPECT_EQ(s.batches_rejected, 1u);
-  EXPECT_EQ(s.breaker_state, 1u);  // kOpen gauge.
+  EXPECT_EQ(stats_.breaker_opened.Value(), 1u);
+  EXPECT_EQ(stats_.batches_rejected.Value(), 1u);
+  EXPECT_EQ(stats_.breaker_state.Value(), 1);  // kOpen gauge.
 }
 
 TEST_F(SchedulerFaultTest, BreakerHalfOpenTrialClosesOnSuccess) {
@@ -480,9 +479,8 @@ TEST_F(SchedulerFaultTest, BreakerHalfOpenTrialClosesOnSuccess) {
   scheduler->WaitForRebuild();
   EXPECT_EQ(scheduler->circuit_state(), CircuitState::kClosed);
   EXPECT_TRUE(scheduler->last_outcome().published);
-  const auto s = stats_.Snapshot();
-  EXPECT_EQ(s.breaker_closed, 1u);
-  EXPECT_EQ(s.breaker_state, 0u);
+  EXPECT_EQ(stats_.breaker_closed.Value(), 1u);
+  EXPECT_EQ(stats_.breaker_state.Value(), 0);
 }
 
 TEST_F(SchedulerFaultTest, DriftedBatchDuringRebuildCoalescesNotDrops) {
@@ -497,12 +495,11 @@ TEST_F(SchedulerFaultTest, DriftedBatchDuringRebuildCoalescesNotDrops) {
   scheduler->WaitForRebuild();  // Covers the whole chain.
 
   EXPECT_FALSE(scheduler->rebuild_in_flight());
-  const auto s = stats_.Snapshot();
-  EXPECT_EQ(s.batches_coalesced, 1u);
+  EXPECT_EQ(stats_.batches_coalesced.Value(), 1u);
   // The coalesced batch either evaporated on the fresh re-probe (the new
   // tree already serves it) or ran its own rebuild; either way nothing was
   // silently dropped and the store serves the drifted distribution.
-  EXPECT_GE(s.rebuilds_triggered, 2u);
+  EXPECT_GE(stats_.rebuilds_triggered.Value(), 2u);
   EXPECT_GT(store_.CurrentVersion(), 1u);
 }
 

@@ -780,6 +780,48 @@ TEST(TailSampler, PendingShardBoundEvictsOldest) {
   TailSampler::InstallGlobal(nullptr);
 }
 
+TEST(TailSampler, FinishedTracesLeaveNothingBehindAndOldestIsEvicted) {
+  SpanRing ring(16);
+  SlowLog slow_log(4);
+  TailSamplerOptions options;
+  options.max_pending_per_shard = 2;
+  options.ring = &ring;
+  options.slow_log = &slow_log;
+  TailSampler sampler(options);
+  // Multiples of 8 all hash to one shard. Finished traces must not count
+  // toward its bound, however many there were.
+  const TraceFinish fast;
+  for (uint64_t id = 8; id <= 8 * 10000; id += 8) {
+    sampler.StartTrace(id);
+    sampler.FinishTrace(id, fast);
+  }
+  EXPECT_EQ(sampler.traces_discarded(), 10000u);
+  EXPECT_EQ(sampler.traces_evicted(), 0u);
+
+  // Three open traces under a bound of 2: the one opened first goes.
+  const uint64_t first = 8 * 10001;
+  const uint64_t third = 8 * 10003;
+  for (uint64_t id = first; id <= third; id += 8) {
+    sampler.StartTrace(id);
+    for (int i = 0; i < 3; ++i) {
+      SpanEvent span;
+      span.name = "tail/bounded";
+      span.trace_id = id;
+      sampler.Record(span);
+    }
+  }
+  EXPECT_EQ(sampler.traces_evicted(), 1u);
+  TraceFinish errored;
+  errored.errored = true;
+  EXPECT_TRUE(sampler.FinishTrace(first, errored));
+  EXPECT_EQ(ring.total_added(), 0u);  // Evicted: its spans are gone.
+  EXPECT_TRUE(sampler.FinishTrace(third, errored));
+  ASSERT_EQ(ring.total_added(), 3u);
+  for (const SpanEvent& span : ring.Latest(3)) {
+    EXPECT_EQ(span.trace_id, third);
+  }
+}
+
 TEST(TailSampler, PerTraceSpanCapDropsExcessSpans) {
   SpanRing ring(256);
   TailSamplerOptions options;

@@ -115,15 +115,6 @@ void ExpectSameRanking(const std::vector<NodeScore>& expected,
   }
 }
 
-/// Samples recorded so far in the router histogram `name` (0 when absent).
-uint64_t HistogramCount(const Router& router, const std::string& name) {
-  for (const auto& [metric, histogram] :
-       router.stats().registry().HistogramValues()) {
-    if (metric == name) return histogram.count;
-  }
-  return 0;
-}
-
 /// Handmade nested tree: full sets are {a:0..9, a1:0..4, a2:5..9,
 /// b:10..19, b1:10..13, c:20..21}.
 CategoryTree HandmadeTree() {
@@ -371,10 +362,10 @@ TEST_F(RouterTest, RouteOnAStoppedRouterSheds) {
     EXPECT_FALSE(router.running());
   }
   // Only the two admitted requests count as traffic.
-  const RouterStatsSnapshot stats = router.stats().Snapshot();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.routed + stats.unrouted, 2u);
-  EXPECT_EQ(stats.shed_deadline, 0u);
+  const RouterStats& stats = router.stats();
+  EXPECT_EQ(stats.requests.Value(), 2u);
+  EXPECT_EQ(stats.routed.Value() + stats.unrouted.Value(), 2u);
+  EXPECT_EQ(stats.shed_deadline.Value(), 0u);
 }
 
 TEST_F(RouterTest, RouteWithoutPublishedTreeFailsCleanly) {
@@ -420,14 +411,14 @@ TEST_F(RouterTest, RouteMatchesSerialOracle) {
   EXPECT_LT(routed, 50u);
   // Every answer above reached both stages, so each stage histogram holds
   // exactly one sample per answer, from either entry point.
-  EXPECT_EQ(HistogramCount(router, "router.resolve_us"), answers);
-  EXPECT_EQ(HistogramCount(router, "router.score_us"), answers);
-  EXPECT_EQ(HistogramCount(router, "router.route_us"), answers);
+  EXPECT_EQ(router.stats().resolve_us.Count(), answers);
+  EXPECT_EQ(router.stats().score_us.Count(), answers);
+  EXPECT_EQ(router.stats().route_us.Count(), answers);
   // Only Route's answers are outcomes: the oracle is a probe, not traffic.
-  const RouterStatsSnapshot stats = router.stats().Snapshot();
-  EXPECT_EQ(stats.requests, 50u);
-  EXPECT_EQ(stats.routed, routed);
-  EXPECT_EQ(stats.unrouted, 50u - routed);
+  const RouterStats& stats = router.stats();
+  EXPECT_EQ(stats.requests.Value(), 50u);
+  EXPECT_EQ(stats.routed.Value(), routed);
+  EXPECT_EQ(stats.unrouted.Value(), 50u - routed);
   router.Stop();
 }
 
@@ -533,11 +524,11 @@ TEST_F(RouterTest, DeadlineExpiredDuringResolveIsShedNotScored) {
   EXPECT_GT(result.resolve_seconds, 0.0);
   EXPECT_EQ(result.score_seconds, 0.0);
   EXPECT_EQ(result.score_stats.nodes_visited, 0u);
-  const RouterStatsSnapshot stats = router.stats().Snapshot();
-  EXPECT_EQ(stats.shed_deadline, 1u);
-  EXPECT_EQ(stats.routed + stats.unrouted, 0u);
-  EXPECT_EQ(HistogramCount(router, "router.resolve_us"), 1u);
-  EXPECT_EQ(HistogramCount(router, "router.score_us"), 0u);
+  const RouterStats& stats = router.stats();
+  EXPECT_EQ(stats.shed_deadline.Value(), 1u);
+  EXPECT_EQ(stats.routed.Value() + stats.unrouted.Value(), 0u);
+  EXPECT_EQ(router.stats().resolve_us.Count(), 1u);
+  EXPECT_EQ(router.stats().score_us.Count(), 0u);
 
   // The failpoint was one-shot: the same budget now routes normally.
   EXPECT_TRUE(router.Route(hurried).status.ok());
@@ -565,18 +556,17 @@ TEST_F(RouterTest, DeadlineExpiredWhileScoringDegradesUnranked) {
   EXPECT_TRUE(degraded.degraded);
   EXPECT_FALSE(degraded.shed);
   EXPECT_TRUE(degraded.ranked.empty());
-  RouterStatsSnapshot stats = router.stats().Snapshot();
-  EXPECT_EQ(stats.degraded, 1u);
+  const RouterStats& stats = router.stats();
+  EXPECT_EQ(stats.degraded.Value(), 1u);
   // A degraded answer is neither routed nor unrouted.
-  EXPECT_EQ(stats.routed + stats.unrouted, 0u);
+  EXPECT_EQ(stats.routed.Value() + stats.unrouted.Value(), 0u);
 
   // The failpoint was one-shot: the same budget now ranks.
   const RouteResult full = router.Route(request);
   ASSERT_TRUE(full.status.ok());
   EXPECT_FALSE(full.ranked.empty());
-  stats = router.stats().Snapshot();
-  EXPECT_EQ(stats.degraded, 1u);
-  EXPECT_EQ(stats.routed, 1u);
+  EXPECT_EQ(stats.degraded.Value(), 1u);
+  EXPECT_EQ(stats.routed.Value(), 1u);
   router.Stop();
 }
 
@@ -619,7 +609,7 @@ TEST_F(RouterTest, UnroutedReasonsSumToUnrouted) {
     const uint64_t misc = counters["router.unrouted_misc_dominated"];
     const uint64_t below = counters["router.unrouted_below_floor"];
     EXPECT_EQ(empty + unplaced + misc + below, unrouted);
-    EXPECT_EQ(router.stats().Snapshot().unrouted, unrouted);
+    EXPECT_EQ(router.stats().unrouted.Value(), unrouted);
     EXPECT_GT(empty, 0u);
     if (c.tree.num_nodes() == 1) {
       EXPECT_EQ(unrouted, 200u);
@@ -653,13 +643,13 @@ TEST_F(RouterTest, InjectedResolveAndScoreErrorsAreCounted) {
   EXPECT_EQ(router.Route(request).status.code(), StatusCode::kInternal);
   fault::FailPointRegistry::Default()->DisarmAll();
 
-  EXPECT_EQ(router.stats().Snapshot().errors, 2u);
+  EXPECT_EQ(router.stats().errors.Value(), 2u);
   EXPECT_TRUE(router.Route(request).status.ok());  // Recovers when disarmed.
   // Stage histograms count only the answers that reached the stage: the
   // score error and the recovery resolved; only the recovery scored.
-  EXPECT_EQ(HistogramCount(router, "router.resolve_us"), 2u);
-  EXPECT_EQ(HistogramCount(router, "router.score_us"), 1u);
-  EXPECT_EQ(HistogramCount(router, "router.route_us"), 3u);
+  EXPECT_EQ(router.stats().resolve_us.Count(), 2u);
+  EXPECT_EQ(router.stats().score_us.Count(), 1u);
+  EXPECT_EQ(router.stats().route_us.Count(), 3u);
   router.Stop();
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the serving subsystem: TreeSnapshot indexes, the
-// versioned TreeStore (publish / retain / diff / rollback), ServeStats
-// counters, and the RebuildScheduler's drift detection and publish gates.
+// versioned TreeStore (publish / retain / diff / rollback), and the
+// RebuildScheduler's drift detection, publish gates and ServeStats series.
 
 #include <gtest/gtest.h>
 
@@ -203,32 +203,6 @@ TEST(TreeStore, RollbackTargetMustBeRetained) {
   EXPECT_FALSE(store.Rollback(1).ok());
 }
 
-TEST(ServeStats, CountersAccumulate) {
-  ServeStats stats;
-  stats.RecordItemLookup(true);
-  stats.RecordItemLookup(true);
-  stats.RecordItemLookup(false);
-  stats.RecordLabelLookup(true);
-  stats.RecordPublish(5);
-  stats.RecordRollback();
-  stats.RecordRebuildTriggered();
-  stats.RecordRebuildFinished(/*published=*/true, /*seconds=*/0.25);
-  stats.RecordRebuildFinished(/*published=*/false, /*seconds=*/0.5);
-
-  const ServeStatsSnapshot s = stats.Snapshot();
-  EXPECT_EQ(s.item_lookups, 3u);
-  EXPECT_EQ(s.item_hits, 2u);
-  EXPECT_NEAR(s.ItemHitRate(), 2.0 / 3.0, 1e-12);
-  EXPECT_EQ(s.label_lookups, 1u);
-  EXPECT_EQ(s.publishes, 1u);
-  EXPECT_EQ(s.current_version, 5u);
-  EXPECT_EQ(s.rollbacks, 1u);
-  EXPECT_EQ(s.rebuilds_published, 1u);
-  EXPECT_EQ(s.rebuilds_discarded, 1u);
-  EXPECT_NEAR(s.RebuildSeconds(), 0.75, 1e-3);
-  EXPECT_NE(s.ToString().find("version=5"), std::string::npos);
-}
-
 class RebuildSchedulerTest : public ::testing::Test {
  protected:
   RebuildSchedulerTest()
@@ -265,7 +239,13 @@ TEST_F(RebuildSchedulerTest, RebuildNowBootstrapsAnEmptyStore) {
   EXPECT_GT(outcome.candidate_score, 0.0);
   EXPECT_EQ(store_.CurrentVersion(), 1u);
   EXPECT_DOUBLE_EQ(scheduler->published_score(), outcome.candidate_score);
-  EXPECT_EQ(stats_.Snapshot().publishes, 1u);
+  EXPECT_EQ(stats_.publishes.Value(), 1u);
+  EXPECT_EQ(stats_.current_version.Value(), 1);
+  EXPECT_EQ(stats_.rebuilds_triggered.Value(), 1u);
+  EXPECT_EQ(stats_.rebuilds_published.Value(), 1u);
+  const obs::HistogramSnapshot rebuild_us = stats_.rebuild_us.Snapshot();
+  EXPECT_EQ(rebuild_us.count, 1u);
+  EXPECT_NEAR(rebuild_us.sum, outcome.seconds * 1e6, 1e-6);
 }
 
 TEST_F(RebuildSchedulerTest, FreshBatchSimilarToPublishedIsUpToDate) {
@@ -274,7 +254,7 @@ TEST_F(RebuildSchedulerTest, FreshBatchSimilarToPublishedIsUpToDate) {
   // Re-offering the same distribution: no drift, no rebuild.
   EXPECT_EQ(scheduler->OfferBatch(Figure2Input()),
             BatchDecision::kUpToDate);
-  EXPECT_EQ(stats_.Snapshot().rebuilds_triggered, 1u);  // Bootstrap only.
+  EXPECT_EQ(stats_.rebuilds_triggered.Value(), 1u);  // Bootstrap only.
 }
 
 TEST_F(RebuildSchedulerTest, DriftedBatchSchedulesBackgroundRebuild) {
@@ -323,7 +303,9 @@ TEST_F(RebuildSchedulerTest, MinPublishGainDiscardsLateralMoves) {
   EXPECT_FALSE(outcome.published);
   EXPECT_EQ(outcome.published_version, 0u);
   EXPECT_EQ(store_.CurrentVersion(), 0u);
-  EXPECT_EQ(stats_.Snapshot().rebuilds_discarded, 1u);
+  EXPECT_EQ(stats_.rebuilds_discarded.Value(), 1u);
+  EXPECT_EQ(stats_.rebuilds_published.Value(), 0u);
+  EXPECT_EQ(stats_.rebuild_us.Count(), 1u);
 }
 
 TEST_F(RebuildSchedulerTest, StabilityGateBlocksRadicalUpdates) {

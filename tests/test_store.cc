@@ -603,6 +603,22 @@ TEST_F(ReplicaTest, RecordsShipOverExpositionTransport) {
   EXPECT_EQ(over_http.value(), primary_->RecordBytes(2).value());
   EXPECT_EQ(FetchRecordOverHttp(port, 99).status().code(),
             StatusCode::kNotFound);
+  // The version must be the whole parameter as an unsigned integer; an
+  // absent one means the latest.
+  const auto status_of = [&exposition](const std::string& query) {
+    const std::string reply =
+        exposition.HandleStoreRecord({"GET", "/store/record", query});
+    return reply.substr(0, reply.find("\r\n"));
+  };
+  for (const char* bad : {"2abc", "1abc", "1e9", "abc", "-1", "+2", "0x2",
+                          "2%20", "18446744073709551617"}) {
+    EXPECT_EQ(status_of(std::string("version=") + bad),
+              "HTTP/1.1 400 Bad Request")
+        << bad;
+  }
+  EXPECT_EQ(status_of(""), "HTTP/1.1 200 OK");
+  EXPECT_EQ(status_of("version=1"), "HTTP/1.1 200 OK");
+  EXPECT_EQ(status_of("version=0"), "HTTP/1.1 404 Not Found");
 
   // A replica set syncing through the HTTP transport converges.
   ReplicaSet set(primary_.get());

@@ -3,7 +3,7 @@
 # online_store example with OCT_EXPOSE_PORT, waits for the port, scrapes
 # /metrics, /healthz, /statusz, and /route with curl, and validates the
 # /metrics payload with tools/check_prom_text.py (format + presence of the
-# serve.*, ctcr.*, kernel.*, and router.* families). Also exercises the
+# serve.*, ctcr.*, kernel.*, router.* and delta.* families). Also exercises the
 # tail-sampling pipeline: a burst of /route calls with a microscopic
 # deadline_ms forces shed requests, which must surface on /slowz (with
 # trace ids) and leave /sloz rendering its objectives. Run by the CI
@@ -111,6 +111,7 @@ curl -sf "$BASE/metrics" > "$TMP_DIR/metrics.txt"
 head -n 6 "$TMP_DIR/metrics.txt"
 echo "..."
 python3 "$REPO_ROOT/tools/check_prom_text.py" "$TMP_DIR/metrics.txt" \
-  --require serve_ --require ctcr_ --require kernel_ --require router_
+  --require serve_ --require ctcr_ --require kernel_ --require router_ \
+  --require delta_
 
 echo "exposition smoke: OK"
